@@ -14,8 +14,11 @@ echo "== labcheck (lints incl. lock discipline + interleaving model checks)"
 cargo run -q -p labstor-labcheck -- --report lockcheck-report.json
 test -s lockcheck-report.json
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test --workspace (every crate's unit and integration tests)"
+cargo test -q --workspace
+
+echo "== labbench tests (the benchmark keeps building against the library crates)"
+cargo test -q --release --offline --manifest-path labbench/Cargo.toml
 
 echo "== labtelem tests + sample Chrome trace"
 cargo test -q -p labstor-telemetry

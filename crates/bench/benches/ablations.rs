@@ -144,7 +144,7 @@ fn ablate_lru_cache(c: &mut Criterion) {
             &mut ctx,
             Payload::Block(labstor_core::BlockOp::Write {
                 lba: 0,
-                data: vec![7u8; 4096],
+                buf: labstor_ipc::BufHandle::from_vec(vec![7u8; 4096]),
             }),
         );
         let mut n = 0u64;
@@ -207,7 +207,7 @@ fn ablate_compression(c: &mut Criterion) {
                     &mut ctx,
                     Payload::Block(labstor_core::BlockOp::Write {
                         lba: 0,
-                        data: data.clone(),
+                        buf: labstor_ipc::BufHandle::from_vec(data.clone()),
                     }),
                 ));
             });
@@ -335,7 +335,7 @@ fn ablate_cache_policy(c: &mut Criterion) {
                 &mut ctx,
                 Payload::Block(labstor_core::BlockOp::Write {
                     lba: lba * 8,
-                    data: vec![1u8; 4096],
+                    buf: labstor_ipc::BufHandle::from_vec(vec![1u8; 4096]),
                 }),
             );
         }

@@ -222,17 +222,17 @@ fn bench_request_dispatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("stack_dispatch");
     g.throughput(Throughput::Elements(1));
     g.bench_function("labfs_4k_write_host_cost", |b| {
-        let data = vec![0u8; 4096];
+        let buf = labstor_ipc::BufHandle::from_vec(vec![0u8; 4096]);
         b.iter(|| {
             let resp = m.process(
                 &mut ctx,
                 Request::new(
                     2,
                     1,
-                    Payload::Fs(labstor_core::FsOp::Write {
+                    Payload::Fs(labstor_core::FsOp::WriteBuf {
                         ino,
                         offset: 0,
-                        data: data.clone(),
+                        buf: buf.clone(),
                     }),
                     Credentials::ROOT,
                 ),

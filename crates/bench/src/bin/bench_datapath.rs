@@ -4,14 +4,15 @@
 //! Two sweeps:
 //!
 //! 1. **Read-hit sweep** — lane (MPMC vs SPSC) × payload size
-//!    (4 KiB / 64 KiB / 256 KiB) × mode (copying `BlockOp::Read` vs
-//!    zero-copy `BlockOp::ReadBuf`). A client half submits read
-//!    descriptors over a queue pair; the worker half serves them from a
-//!    pre-warmed `LruCacheMod` whose blocks live in the shared buffer
-//!    pool. The copying mode clones the cached bytes into
-//!    `RespPayload::Data` per hit; the zero-copy mode answers with a
-//!    `BufHandle` slice — a refcount bump. Both wall-clock ops/s and the
-//!    modeled per-hit virtual cost are recorded.
+//!    (4 KiB / 64 KiB / 256 KiB) × mode (owned-`Vec` read vs zero-copy
+//!    handle read). A client half submits read descriptors over a queue
+//!    pair; the worker half serves each `BlockOp::Read` from a pre-warmed
+//!    `LruCacheMod` whose blocks live in the shared buffer pool, answering
+//!    with a `BufHandle` slice — a refcount bump. The copy mode is what
+//!    the `Vec` API (`GenericFs::read`) adds on top: the client edge's
+//!    counted copy-out, charged to the client at `COPY_NS_PER_KB`. Both
+//!    wall-clock ops/s and the modeled per-hit virtual cost (worker busy
+//!    time plus that client copy charge) are recorded.
 //! 2. **Shard sweep** — the kernel `PageCache` at 1/2/4/8 shards under 8
 //!    concurrent request streams of pure hits. Throughput is measured in
 //!    *virtual* time (ops per simulated second): each shard's mapping
@@ -33,6 +34,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use labstor_core::client::copy_cost;
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{BlockOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
 use labstor_ipc::{
@@ -79,7 +81,8 @@ struct ReadHit {
     ops: usize,
     ops_per_sec: f64,
     gib_per_sec: f64,
-    /// Modeled (virtual) busy ns per hit on the worker side.
+    /// Modeled (virtual) ns per hit: worker busy time plus the client's
+    /// charged copy-out in copy mode.
     virt_hit_ns: f64,
 }
 
@@ -113,14 +116,14 @@ fn warm_cache(size: usize) -> (ModuleManager, LabStack) {
     let cache = mm.get("cache").expect("cache registered");
     let mut ctx = Ctx::new();
     for lba in 0..NBLOCKS {
-        let mut buf = default_pool().alloc(size).expect("pool has a slot");
+        let mut buf = default_pool().alloc_payload(size);
         assert!(buf.write_with(|b| b.fill(lba as u8)), "fresh handle");
         let resp = cache.process(
             &mut ctx,
             Request::new(
                 lba,
                 stack.id,
-                Payload::Block(BlockOp::WriteBuf { lba, buf }),
+                Payload::Block(BlockOp::Write { lba, buf }),
                 Credentials::ROOT,
             ),
             &env,
@@ -156,6 +159,7 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
     let mut outbox: Vec<Envelope<Msg>> = Vec::with_capacity(BATCH);
     let mut next: u64 = 0;
     let mut reaped = 0usize;
+    let mut copy_ns = 0u64;
     let t0 = Instant::now();
     while reaped < ops {
         if pend.is_empty() && (next as usize) < ops {
@@ -172,11 +176,7 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
         qp.consume_batch(&mut worker, RUNTIME_DOMAIN, &mut inbox, BATCH);
         for env_msg in inbox.drain(..) {
             let lba = env_msg.payload.0;
-            let op = if zero_copy {
-                BlockOp::ReadBuf { lba, len: size }
-            } else {
-                BlockOp::Read { lba, len: size }
-            };
+            let op = BlockOp::Read { lba, len: size };
             let resp = cache.process(
                 &mut worker,
                 Request::new(lba, stack.id, Payload::Block(op), Credentials::ROOT),
@@ -192,15 +192,19 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
         for env_msg in outbox.drain(..) {
             let (lba, resp) = env_msg.payload;
             let resp = resp.expect("worker filled the response");
-            if zero_copy {
-                assert!(
-                    matches!(resp, RespPayload::DataBuf(_)),
-                    "zero-copy hit must answer with a handle"
-                );
-            }
-            let bytes = resp.data_bytes().expect("hit carries data");
-            assert_eq!(bytes.len(), size);
-            assert_eq!(bytes[0], lba as u8, "payload integrity");
+            let RespPayload::DataBuf(h) = resp else {
+                panic!("a hit must answer with a handle: {resp:?}");
+            };
+            let first = if zero_copy {
+                h.as_slice()[0]
+            } else {
+                // The owned-Vec API's copy-out, charged like the client's.
+                client.advance(copy_cost(size));
+                copy_ns += copy_cost(size);
+                std::hint::black_box(h.to_vec())[0]
+            };
+            assert_eq!(h.len(), size);
+            assert_eq!(first, lba as u8, "payload integrity");
             reaped += 1;
         }
     }
@@ -212,7 +216,7 @@ fn run_readhit(lane: LaneKind, size: usize, zero_copy: bool, ops: usize) -> Read
         ops,
         ops_per_sec: ops as f64 / elapsed,
         gib_per_sec: (ops * size) as f64 / elapsed / (1u64 << 30) as f64,
-        virt_hit_ns: (worker.busy() - vbase) as f64 / ops as f64,
+        virt_hit_ns: (worker.busy() - vbase + copy_ns) as f64 / ops as f64,
     }
 }
 

@@ -57,9 +57,7 @@ struct SideResult {
 fn write_dataset(fs: &mut GenericFs, path: &str, data: &[u8]) -> i32 {
     let fd = fs.open(path, true, true).expect("open dataset");
     for page in data.chunks(PAGE) {
-        let mut buf = labstor_ipc::default_pool()
-            .alloc(page.len())
-            .expect("pool slot");
+        let mut buf = fs.client().alloc_buf(page.len());
         assert!(buf.write_with(|b| b.copy_from_slice(page)));
         assert_eq!(fs.write_buf(fd, buf).expect("write page"), page.len());
     }

@@ -174,6 +174,10 @@ fn run(mode: Mode, victims: usize, ops_per_victim: usize) -> RunResult {
                 };
                 let mut stats = HostileStats::default();
                 let mut lba = 0u64;
+                // One payload buffer filled in place; every write of the
+                // burst shares it by handle.
+                let mut bulk = client.alloc_buf(HOSTILE_BYTES);
+                bulk.write_with(|b| b.fill(0xa5));
                 while !stop.load(Ordering::Acquire) {
                     gate.sync(victims, client.ctx.now());
                     // Pipeline a full batch of writes; `submit_all`
@@ -182,7 +186,7 @@ fn run(mode: Mode, victims: usize, ops_per_victim: usize) -> RunResult {
                         .map(|_| {
                             let p = Payload::Block(BlockOp::Write {
                                 lba,
-                                data: vec![0xa5; HOSTILE_BYTES],
+                                buf: bulk.clone(),
                             });
                             lba = (lba + (HOSTILE_BYTES / 512) as u64) % SPAN_SECTORS;
                             p

@@ -112,7 +112,7 @@ fn run(policy: Arc<dyn OrchestratorPolicy>, workers: usize) -> (u64, f64) {
             .copied()
             .take(C_REQ_BYTES)
             .collect();
-    let payload = Arc::new(payload);
+    let payload = labstor_ipc::BufHandle::from_vec(payload);
 
     let (l_recs, c_recs): (Vec<Recorder>, Vec<Recorder>) = std::thread::scope(|s| {
         let l_handles: Vec<_> = (0..L_THREADS)
@@ -168,7 +168,7 @@ fn run(policy: Arc<dyn OrchestratorPolicy>, workers: usize) -> (u64, f64) {
                                 &stack,
                                 Payload::Block(BlockOp::Write {
                                     lba,
-                                    data: payload.as_ref().clone(),
+                                    buf: payload.clone(),
                                 }),
                             )
                             .expect("c write");

@@ -10,11 +10,11 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use labstor_ipc::{ClientConnection, Envelope};
+use labstor_ipc::{BufHandle, ClientConnection, Envelope};
 use labstor_sim::Ctx;
 use labstor_telemetry::{SpanEvent, Stage};
 
-use crate::request::{Message, Payload, Request, RespPayload, Response};
+use crate::request::{FsOp, Message, Payload, Request, RespPayload, Response};
 use crate::runtime::Runtime;
 use crate::stack::{ExecMode, LabStack};
 use crate::worker::process_request;
@@ -84,6 +84,16 @@ pub struct Client {
     tenant: Option<Arc<labstor_qos::TenantState>>,
 }
 
+/// Modeled memcpy cost per KiB of the client edge's copy in (owned bytes
+/// into a payload buffer) and copy out (a handle into owned bytes) — the
+/// only payload copies of a page-aligned request.
+pub const COPY_NS_PER_KB: u64 = 300;
+
+/// Virtual cost of copying `bytes` payload bytes at the client edge.
+pub fn copy_cost(bytes: usize) -> u64 {
+    (bytes as u64 * COPY_NS_PER_KB) / 1024
+}
+
 /// Cap on each park of a client `wait` on its completion doorbell. Every
 /// completion rings the bell, so the cap only bounds how long a crashed
 /// Runtime (whose dead workers never ring) can go unnoticed — the wait
@@ -138,25 +148,43 @@ impl Client {
         }
     }
 
-    /// Allocate a zero-copy payload buffer from the shared pool and fill
-    /// it in place — the application writes its bytes straight into
-    /// shared memory, then submits `FsOp::WriteBuf { buf, .. }` so no
-    /// stage ever copies them. Returns `None` when the pool is dry (fall
-    /// back to the legacy `Vec` payload).
+    /// Allocate a zeroed payload buffer for the application to fill in
+    /// place — it writes its bytes straight into shared memory, then
+    /// submits `FsOp::WriteBuf { buf, .. }` so no stage ever copies them.
+    /// Never fails for lack of pool capacity (see
+    /// [`labstor_ipc::BufferPool::alloc_payload`]).
     ///
     /// The buffer comes back zeroed: pool slots are recycled process-wide
     /// across clients and domains, so a partially filled buffer must not
     /// leak another domain's stale payload bytes into storage.
-    pub fn alloc_buf(&self, len: usize) -> Option<labstor_ipc::BufHandle> {
-        let mut h = labstor_ipc::default_pool().alloc(len)?;
-        let zeroed = h.write_with(|b| b.fill(0));
-        debug_assert!(zeroed, "fresh handle is unique");
-        Some(h)
+    pub fn alloc_buf(&self, len: usize) -> BufHandle {
+        labstor_ipc::default_pool().alloc_payload(len)
     }
 
-    /// The shared buffer pool this client allocates payload buffers from.
-    pub fn buf_pool(&self) -> &'static labstor_ipc::BufferPool {
-        labstor_ipc::default_pool()
+    /// Copy owned bytes into a payload buffer: the client edge's one
+    /// counted copy in, charged to this client's clock.
+    pub fn copy_in(&mut self, data: &[u8]) -> BufHandle {
+        self.ctx.advance(copy_cost(data.len()));
+        labstor_ipc::default_pool().payload_from(data)
+    }
+
+    /// Copy a payload buffer out into owned bytes: the client edge's one
+    /// counted copy out, charged to this client's clock.
+    pub fn copy_out(&mut self, buf: &BufHandle) -> Vec<u8> {
+        self.ctx.advance(copy_cost(buf.len()));
+        buf.to_vec()
+    }
+
+    /// The one place a request's owned bytes become the stack's payload
+    /// carrier: `FsOp::Write { data }` turns into `FsOp::WriteBuf` through
+    /// [`Client::copy_in`]. Called after admission, so a throttled request
+    /// pays no copy.
+    fn carry_payload(&mut self, payload: &mut Payload) {
+        if let Payload::Fs(FsOp::Write { ino, offset, data }) = payload {
+            let (ino, offset) = (*ino, *offset);
+            let buf = self.copy_in(data);
+            *payload = Payload::Fs(FsOp::WriteBuf { ino, offset, buf });
+        }
     }
 
     /// Resolve the stack governing `path` (GenericFS-style ancestor walk).
@@ -174,31 +202,37 @@ impl Client {
         stack: &Arc<LabStack>,
         payload: Payload,
     ) -> Result<(RespPayload, u64), ClientError> {
-        self.next_id += 1;
-        let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
-        self.admit(req.payload_bytes())?;
         let start = self.ctx.now();
-        match stack.exec {
-            ExecMode::Sync => {
-                // Decentralized: run the DAG inline, no IPC.
-                let resp = process_request(
-                    &mut self.ctx,
-                    req,
-                    &self.runtime.ns,
-                    &self.runtime.mm,
-                    self.conn.domain,
-                );
-                let latency = self.ctx.now() - start;
-                self.observe_tenant_latency(latency);
-                Ok((resp.payload, latency))
-            }
-            ExecMode::Async => {
-                let resp = self.roundtrip(req)?;
-                let latency = self.ctx.now() - start;
-                self.observe_tenant_latency(latency);
-                Ok((resp, latency))
-            }
-        }
+        let req = self.admitted(stack, payload)?;
+        let resp = match stack.exec {
+            ExecMode::Sync => self.run_inline(req).payload,
+            ExecMode::Async => self.roundtrip(req)?,
+        };
+        let latency = self.ctx.now() - start;
+        self.observe_tenant_latency(latency);
+        Ok((resp, latency))
+    }
+
+    /// Build a request, admit it and put its payload on the carrier: the
+    /// front half every submission path shares.
+    fn admitted(&mut self, stack: &LabStack, payload: Payload) -> Result<Request, ClientError> {
+        self.next_id += 1;
+        let mut req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
+        self.admit(req.payload_bytes())?;
+        self.carry_payload(&mut req.payload);
+        Ok(req)
+    }
+
+    /// Decentralized execution for sync stacks: run the DAG inline in this
+    /// thread, no IPC.
+    fn run_inline(&mut self, req: Request) -> Response {
+        process_request(
+            &mut self.ctx,
+            req,
+            &self.runtime.ns,
+            &self.runtime.mm,
+            self.conn.domain,
+        )
     }
 
     /// Estimate a request's processing cost for the orchestrator (the
@@ -313,19 +347,11 @@ impl Client {
     /// sync-mode stacks the request executes inline and its response is
     /// buffered locally.
     pub fn submit(&mut self, stack: &Arc<LabStack>, payload: Payload) -> Result<u64, ClientError> {
-        self.next_id += 1;
-        let req = Request::on_core(self.next_id, stack.id, payload, self.conn.creds, self.core);
+        let req = self.admitted(stack, payload)?;
         let id = req.id;
-        self.admit(req.payload_bytes())?;
         match stack.exec {
             ExecMode::Sync => {
-                let resp = process_request(
-                    &mut self.ctx,
-                    req,
-                    &self.runtime.ns,
-                    &self.runtime.mm,
-                    self.conn.domain,
-                );
+                let resp = self.run_inline(req);
                 self.inline_done.push((resp, self.ctx.now()));
                 Ok(id)
             }
@@ -407,7 +433,8 @@ impl Client {
         self.admit(burst_bytes)?;
         let mut ids = Vec::with_capacity(reqs.len());
         let mut msgs: Vec<Message> = Vec::with_capacity(reqs.len());
-        for req in reqs {
+        for mut req in reqs {
+            self.carry_payload(&mut req.payload);
             let est = self.estimate(&req);
             qp.note_item_est(est);
             qp.add_load(est as i64);

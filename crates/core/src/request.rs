@@ -37,7 +37,10 @@ pub enum FsOp {
         /// Permission bits.
         mode: u16,
     },
-    /// Write `data` at `offset` of inode `ino`.
+    /// Write `data` at `offset` of inode `ino` — the owned-bytes form of
+    /// [`FsOp::WriteBuf`] for callers at the client edge. The client copies
+    /// `data` into a payload buffer (one counted copy, after admission)
+    /// and submits `WriteBuf`; no LabMod ever sees this variant.
     Write {
         /// Target inode.
         ino: u64,
@@ -46,17 +49,8 @@ pub enum FsOp {
         /// Payload.
         data: Vec<u8>,
     },
-    /// Read `len` bytes at `offset` of inode `ino`.
-    Read {
-        /// Source inode.
-        ino: u64,
-        /// Byte offset.
-        offset: u64,
-        /// Bytes to read.
-        len: usize,
-    },
-    /// Zero-copy write: the payload lives in a pooled shared-memory
-    /// buffer; stages pass the handle by refcount bump, never by copy.
+    /// Write a payload buffer at `offset` of inode `ino`: stages pass the
+    /// handle by refcount bump, never by copy.
     WriteBuf {
         /// Target inode.
         ino: u64,
@@ -65,9 +59,10 @@ pub enum FsOp {
         /// Shared-memory payload.
         buf: BufHandle,
     },
-    /// Zero-copy read: respond with [`RespPayload::DataBuf`] — a handle
-    /// into the page cache (hit) or a freshly filled pool buffer (miss).
-    ReadBuf {
+    /// Read `len` bytes at `offset` of inode `ino`; respond with
+    /// [`RespPayload::DataBuf`] — a handle into the page cache (hit) or a
+    /// freshly filled buffer (miss) — or, for ≤ 64 B, [`RespPayload::Inline`].
+    Read {
         /// Source inode.
         ino: u64,
         /// Byte offset.
@@ -130,12 +125,12 @@ pub enum FsOp {
 #[derive(Debug, Clone)]
 pub enum KvsOp {
     /// Store a value under a key (single round trip — the paper's point
-    /// versus open-modify-close).
+    /// versus open-modify-close). The value lives in a payload buffer.
     Put {
         /// Key.
         key: String,
         /// Value bytes.
-        value: Vec<u8>,
+        buf: BufHandle,
     },
     /// Fetch a value.
     Get {
@@ -146,13 +141,6 @@ pub enum KvsOp {
     Remove {
         /// Key.
         key: String,
-    },
-    /// Zero-copy put: the value lives in a pooled shared-memory buffer.
-    PutBuf {
-        /// Key.
-        key: String,
-        /// Shared-memory value bytes.
-        buf: BufHandle,
     },
     /// Pushdown point-query: fetch `key`'s value only if the program
     /// matches it. A miss at the first table level triggers the in-stack
@@ -179,29 +167,16 @@ pub enum KvsOp {
 /// driver).
 #[derive(Debug, Clone)]
 pub enum BlockOp {
-    /// Write sectors.
+    /// Write sectors from a payload buffer (passed by refcount, never
+    /// copied between stages).
     Write {
         /// Start LBA (512-byte sectors).
         lba: u64,
         /// Payload (sector multiple).
-        data: Vec<u8>,
-    },
-    /// Read sectors.
-    Read {
-        /// Start LBA.
-        lba: u64,
-        /// Bytes to read.
-        len: usize,
-    },
-    /// Zero-copy sector write: payload passed by shared-memory handle.
-    WriteBuf {
-        /// Start LBA (512-byte sectors).
-        lba: u64,
-        /// Payload (sector multiple) in a pooled buffer.
         buf: BufHandle,
     },
-    /// Zero-copy sector read: respond with [`RespPayload::DataBuf`].
-    ReadBuf {
+    /// Read sectors; respond with [`RespPayload::DataBuf`].
+    Read {
         /// Start LBA.
         lba: u64,
         /// Bytes to read.
@@ -276,15 +251,7 @@ pub struct Request {
 impl Request {
     /// Build a request for a stack's entry vertex.
     pub fn new(id: u64, stack: u64, payload: Payload, creds: Credentials) -> Self {
-        Request {
-            id,
-            stack,
-            vertex: 0,
-            payload,
-            creds,
-            core: 0,
-            qid_hint: None,
-        }
+        Request::on_core(id, stack, payload, creds, 0)
     }
 
     /// Same, tagged with the originating CPU core.
@@ -300,19 +267,23 @@ impl Request {
         }
     }
 
+    /// A request a stage sends downstream on this one's behalf: same id,
+    /// stack, credentials, core and queue hint, carrying `payload`.
+    pub fn derive(&self, payload: Payload) -> Request {
+        let mut r = Request::on_core(self.id, self.stack, payload, self.creds, self.core);
+        r.qid_hint = self.qid_hint;
+        r
+    }
+
     /// Approximate payload size in bytes (used for cost estimation).
     pub fn payload_bytes(&self) -> usize {
         match &self.payload {
             Payload::Fs(FsOp::Write { data, .. }) => data.len(),
-            Payload::Fs(
-                FsOp::Read { len, .. } | FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. },
-            ) => *len,
-            Payload::Fs(FsOp::WriteBuf { buf, .. }) => buf.len(),
-            Payload::Kvs(KvsOp::Put { value, .. }) => value.len(),
-            Payload::Kvs(KvsOp::PutBuf { buf, .. }) => buf.len(),
-            Payload::Block(BlockOp::Write { data, .. }) => data.len(),
-            Payload::Block(BlockOp::Read { len, .. } | BlockOp::ReadBuf { len, .. }) => *len,
-            Payload::Block(BlockOp::WriteBuf { buf, .. }) => buf.len(),
+            Payload::Fs(FsOp::Read { len, .. } | FsOp::ReadFiltered { len, .. }) => *len,
+            Payload::Fs(FsOp::WriteBuf { buf, .. })
+            | Payload::Kvs(KvsOp::Put { buf, .. })
+            | Payload::Block(BlockOp::Write { buf, .. }) => buf.len(),
+            Payload::Block(BlockOp::Read { len, .. }) => *len,
             Payload::Custom { data, .. } => data.len(),
             _ => 0,
         }
@@ -326,10 +297,8 @@ pub enum RespPayload {
     Ok,
     /// An inode (create/open).
     Ino(u64),
-    /// Bytes read / value fetched.
-    Data(Vec<u8>),
-    /// Zero-copy read result: a refcounted view of shared-memory bytes
-    /// (a page-cache hit is a refcount bump, not a copy).
+    /// Bytes read / value fetched: a refcounted view of payload bytes (a
+    /// page-cache hit is a refcount bump, not a copy).
     DataBuf(BufHandle),
     /// Small result (≤ 64 B) carried by value inside the response
     /// envelope — no BufferPool round trip, zero counted payload
@@ -351,11 +320,10 @@ impl RespPayload {
         !matches!(self, RespPayload::Err(_))
     }
 
-    /// The returned bytes regardless of representation (legacy `Vec` or
-    /// shared-memory handle); `None` for non-data payloads.
+    /// The returned bytes regardless of carrier (handle or inline);
+    /// `None` for non-data payloads.
     pub fn data_bytes(&self) -> Option<&[u8]> {
         match self {
-            RespPayload::Data(v) => Some(v),
             RespPayload::DataBuf(b) => Some(b.as_slice()),
             RespPayload::Inline(d) => Some(d.as_slice()),
             _ => None,

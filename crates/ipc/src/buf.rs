@@ -14,6 +14,14 @@
 //! len)` view: `Clone` is a refcount bump, `Drop` returns the slot to the
 //! free list when the last handle dies.
 //!
+//! `BufHandle` is the only payload carrier inside a stack, so payload
+//! allocation must not fail where an owned `Vec` would not:
+//! [`BufferPool::alloc_payload`] takes a slot of the right class when one
+//! is free and otherwise hands out an unpooled, heap-backed handle with the
+//! same view, sharing and uniqueness rules, freed on its last drop. A
+//! request never falls over into a larger class — that would strand slab
+//! memory several times the payload size.
+//!
 //! Ownership rules (DESIGN.md §10):
 //! * whoever calls [`BufferPool::alloc`] owns a unique handle and may fill
 //!   it in place ([`BufHandle::fill`] / [`BufHandle::write_with`]);
@@ -38,8 +46,8 @@ static PAYLOAD_COPIES: AtomicU64 = AtomicU64::new(0);
 /// Total bytes those copies moved.
 static PAYLOAD_COPY_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Record one intermediate payload copy of `bytes` bytes. Every site in
-/// the stack that memcpy-s payload data (legacy `Vec` paths, partial-page
+/// Record one intermediate payload copy of `bytes` bytes. Every site that
+/// memcpy-s payload data (the client edge's copy in and out, partial-page
 /// read-modify-write, copy-on-write) calls this so tests can prove the
 /// zero-copy path really is copy-free.
 pub fn note_payload_copy(bytes: usize) {
@@ -66,8 +74,8 @@ pub fn payload_copy_bytes() -> u64 {
 /// plumbed. (Shared memory is process-wide in this reproduction — thread
 /// domains stand in for address spaces — so one default arena serves every
 /// domain; the grant discipline lives in [`crate::shmem`].) Exhaustion is
-/// graceful: `alloc` returns `None` and callers fall back to the legacy
-/// copying path.
+/// graceful: [`BufferPool::alloc_payload`] falls back to heap-backed
+/// handles.
 pub fn default_pool() -> &'static BufferPool {
     static POOL: std::sync::OnceLock<BufferPool> = std::sync::OnceLock::new();
     POOL.get_or_init(BufferPool::with_defaults)
@@ -329,10 +337,10 @@ impl BufferPool {
     }
 
     /// Allocate a unique handle of `len` bytes from the smallest class
-    /// that fits, falling over to larger classes when one is exhausted.
-    /// Returns `None` when `len` exceeds the largest class or the pool is
-    /// dry. Contents are unspecified (a recycled slot keeps its old
-    /// bytes): fill or zero before exposing the buffer.
+    /// that fits. Returns `None` when `len` exceeds the largest class or
+    /// that class is dry — a request never falls over into a larger class.
+    /// Contents are unspecified (a recycled slot keeps its old bytes):
+    /// fill or zero before exposing the buffer.
     ///
     /// Untenanted: equivalent to `alloc_for(TenantId::NONE, len)`.
     pub fn alloc(&self, len: usize) -> Option<BufHandle> {
@@ -344,84 +352,93 @@ impl BufferPool {
     /// request bytes). A tenant over its byte quota gets `None` and a
     /// bumped reject counter; [`TenantId::NONE`] is never quota-bound.
     pub fn alloc_for(&self, tenant: TenantId, len: usize) -> Option<BufHandle> {
+        let (ci, class) = self
+            .inner
+            .classes
+            .iter()
+            .enumerate()
+            .find(|(_, c)| c.buf_size >= len)?;
         let cell = self.inner.tenant_cell(tenant, true);
-        for (ci, class) in self.inner.classes.iter().enumerate() {
-            if class.buf_size < len {
-                continue;
-            }
-            // Charge before popping so concurrent allocators cannot all
-            // slip under the quota together; roll back on any failure.
-            if let Some(cell) = cell {
-                let charge = class.buf_size as u64;
-                // relaxed-ok: quota accounting is statistics-grade; races overshoot by at most one in-flight alloc per thread
-                let after = cell.live_bytes.fetch_add(charge, Ordering::Relaxed) + charge;
-                // relaxed-ok: quota is a configuration value read monotonically
-                let quota = cell.quota_bytes.load(Ordering::Relaxed);
-                if quota > 0 && after > quota {
-                    // relaxed-ok: rollback of the stats charge above
-                    cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
-                    // relaxed-ok: stats counter
-                    cell.rejects.fetch_add(1, Ordering::Relaxed);
-                    // A larger class would charge even more: quota rejects
-                    // are terminal, not fall-over.
-                    return None;
-                }
-            }
-            if let Some(slot) = class.pop_free() {
-                let class_id = ci as u16;
-                {
-                    // SAFETY: the slot was just popped off the free list
-                    // (refs == 0), so this thread has exclusive access
-                    // until the handle below is published.
-                    let data = unsafe { &mut *class.slots[slot as usize].data.get() };
-                    if data.len() != class.buf_size {
-                        *data = vec![0u8; class.buf_size].into_boxed_slice();
-                    }
-                }
-                // relaxed-ok: the handle is published to other threads through normal channels (queues, locks) that carry the happens-before edge
-                class.slots[slot as usize].refs.store(1, Ordering::Relaxed);
-                // relaxed-ok: live/high-water are stats counters
-                let live = self.inner.live.fetch_add(1, Ordering::Relaxed) + 1;
-                // relaxed-ok: monotonic max, stats only
-                self.inner.high_water.fetch_max(live, Ordering::Relaxed);
-                #[cfg(debug_assertions)]
-                {
-                    let fresh = self.inner.tracker.lock().insert((class_id, slot)); // lock-class: pool.tracker
-                    assert!(fresh, "buffer pool handed out an already-live slot");
-                }
-                return Some(BufHandle {
-                    pool: Arc::clone(&self.inner),
-                    class: class_id,
-                    slot,
-                    off: 0,
-                    len,
-                    tenant,
-                });
-            }
-            // Class exhausted: undo the charge before falling over.
-            if let Some(cell) = cell {
+        // Charge before popping so concurrent allocators cannot all slip
+        // under the quota together; roll back if the class is dry.
+        let charge = class.buf_size as u64;
+        if let Some(cell) = cell {
+            // relaxed-ok: quota accounting is statistics-grade; races overshoot by at most one in-flight alloc per thread
+            let after = cell.live_bytes.fetch_add(charge, Ordering::Relaxed) + charge;
+            // relaxed-ok: quota is a configuration value read monotonically
+            let quota = cell.quota_bytes.load(Ordering::Relaxed);
+            if quota > 0 && after > quota {
                 // relaxed-ok: rollback of the stats charge above
-                cell.live_bytes
-                    .fetch_sub(class.buf_size as u64, Ordering::Relaxed);
+                cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
+                // relaxed-ok: stats counter
+                cell.rejects.fetch_add(1, Ordering::Relaxed);
+                return None;
             }
         }
-        None
+        let Some(slot) = class.pop_free() else {
+            if let Some(cell) = cell {
+                // relaxed-ok: rollback of the stats charge above
+                cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
+            }
+            return None;
+        };
+        let class_id = ci as u16;
+        {
+            // SAFETY: the slot was just popped off the free list
+            // (refs == 0), so this thread has exclusive access until the
+            // handle below is published.
+            let data = unsafe { &mut *class.slots[slot as usize].data.get() };
+            if data.len() != class.buf_size {
+                *data = vec![0u8; class.buf_size].into_boxed_slice();
+            }
+        }
+        // relaxed-ok: the handle is published to other threads through normal channels (queues, locks) that carry the happens-before edge
+        class.slots[slot as usize].refs.store(1, Ordering::Relaxed);
+        // relaxed-ok: live/high-water are stats counters
+        let live = self.inner.live.fetch_add(1, Ordering::Relaxed) + 1;
+        // relaxed-ok: monotonic max, stats only
+        self.inner.high_water.fetch_max(live, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        {
+            let fresh = self.inner.tracker.lock().insert((class_id, slot)); // lock-class: pool.tracker
+            assert!(fresh, "buffer pool handed out an already-live slot");
+        }
+        Some(BufHandle {
+            backing: Backing::Slot {
+                pool: Arc::clone(&self.inner),
+                class: class_id,
+                slot,
+            },
+            off: 0,
+            len,
+            tenant,
+        })
     }
 
-    /// Allocate and fill from `src` in one step. This *is* a copy (the
-    /// boundary copy into shared memory) and is recorded as one.
-    pub fn alloc_from(&self, src: &[u8]) -> Option<BufHandle> {
-        self.alloc_from_for(TenantId::NONE, src)
+    /// Allocate a zeroed, untenanted payload buffer of `len` bytes that
+    /// cannot fail for lack of capacity: a slot of the right class when
+    /// one is free, otherwise an unpooled heap-backed handle that is freed
+    /// on its last drop.
+    pub fn alloc_payload(&self, len: usize) -> BufHandle {
+        let Some(mut h) = self.alloc(len) else {
+            return BufHandle::from_vec(vec![0u8; len]);
+        };
+        let zeroed = h.write_with(|b| b.fill(0));
+        debug_assert!(zeroed, "fresh handle is unique");
+        h
     }
 
-    /// [`BufferPool::alloc_from`] billed to `tenant`.
-    pub fn alloc_from_for(&self, tenant: TenantId, src: &[u8]) -> Option<BufHandle> {
-        let mut h = self.alloc_for(tenant, src.len())?;
+    /// [`BufferPool::alloc_payload`] filled from `src`. This *is* a copy
+    /// (the boundary copy into shared memory) and is recorded as one.
+    pub fn payload_from(&self, src: &[u8]) -> BufHandle {
         note_payload_copy(src.len());
-        // copy-ok: the one boundary copy that moves bytes into shared memory; counted via note_payload_copy
+        let Some(mut h) = self.alloc(src.len()) else {
+            // copy-ok: the boundary copy into a heap-backed handle; counted above
+            return BufHandle::from_vec(src.to_vec());
+        };
         let ok = h.fill(src);
         debug_assert!(ok, "fresh handle is unique");
-        Some(h)
+        h
     }
 
     /// Allocations currently live.
@@ -513,31 +530,73 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// A refcounted view of pool bytes: `(region, offset, len)`. `Clone` bumps
-/// the slot refcount; `Drop` of the last handle returns the slot to the
-/// free list. Mutation (`fill`, `write_with`) requires a *unique* handle.
+/// Region id reported by heap-backed handles (pool classes count up from 0).
+pub const HEAP_REGION: u64 = u64::MAX;
+
+/// Where a handle's bytes live.
+enum Backing {
+    /// A pool slot; the last drop returns it to its class's free list.
+    Slot {
+        pool: Arc<PoolInner>,
+        class: u16,
+        slot: u32,
+    },
+    /// Unpooled heap bytes (pool dry, oversize request, or an adopted
+    /// `Vec`); the last drop frees them. No `Weak` is ever made, so the
+    /// strong count alone decides uniqueness.
+    Heap(Arc<Vec<u8>>),
+}
+
+/// A refcounted view of payload bytes: `(region, offset, len)`. `Clone`
+/// bumps the refcount; `Drop` of the last handle frees the backing (a pool
+/// slot back to its free list, heap bytes to the allocator). Mutation
+/// (`fill`, `write_with`) requires a *unique* handle.
 pub struct BufHandle {
-    pool: Arc<PoolInner>,
-    class: u16,
-    slot: u32,
+    backing: Backing,
     off: usize,
     len: usize,
     /// Tenant the slot is billed to (clones and slices share the bill;
-    /// the last drop uncharges it).
+    /// the last drop uncharges it). Heap handles are never billed.
     tenant: TenantId,
 }
 
 // SAFETY: the handle only permits shared reads of the slot bytes unless it
 // is unique (refs == 1) and mutably borrowed; refcount traffic is atomic.
+// The heap backing is an `Arc<Vec<u8>>` (Send) mutated only through
+// `Arc::get_mut`; the remaining fields are plain integers.
 unsafe impl Send for BufHandle {}
 // SAFETY: `&BufHandle` only exposes read access to the slot bytes
 // (`as_slice`); writes demand `&mut self` plus `refs == 1`, so two threads
-// sharing a reference cannot race.
+// sharing a reference cannot race. The heap backing is an `Arc<Vec<u8>>`
+// (Sync) that `&self` only reads.
 unsafe impl Sync for BufHandle {}
 
 impl BufHandle {
-    fn slot_ref(&self) -> &Slot {
-        &self.pool.classes[self.class as usize].slots[self.slot as usize]
+    /// Adopt `data` as an unpooled, heap-backed handle — no copy. Owned
+    /// bytes produced inside a stack (a device read, a codec's output)
+    /// enter the one payload carrier this way.
+    pub fn from_vec(data: Vec<u8>) -> BufHandle {
+        BufHandle {
+            off: 0,
+            len: data.len(),
+            backing: Backing::Heap(Arc::new(data)),
+            tenant: TenantId::NONE,
+        }
+    }
+
+    fn slot_ref(pool: &PoolInner, class: u16, slot: u32) -> &Slot {
+        &pool.classes[class as usize].slots[slot as usize]
+    }
+
+    /// Live-handle count on the backing allocation.
+    fn refs(&self) -> usize {
+        match &self.backing {
+            Backing::Slot { pool, class, slot } => Self::slot_ref(pool, *class, *slot)
+                .refs
+                .load(Ordering::Acquire)
+                as usize,
+            Backing::Heap(v) => Arc::strong_count(v),
+        }
     }
 
     /// Length of this view in bytes.
@@ -550,57 +609,77 @@ impl BufHandle {
         self.len == 0
     }
 
-    /// The backing region id (the size class, in this pool).
+    /// The backing region id: the size class for pool slots,
+    /// [`HEAP_REGION`] for heap-backed handles.
     pub fn region(&self) -> u64 {
-        u64::from(self.class)
+        match &self.backing {
+            Backing::Slot { class, .. } => u64::from(*class),
+            Backing::Heap(_) => HEAP_REGION,
+        }
     }
 
     /// Byte offset of this view inside its backing region.
     pub fn offset(&self) -> usize {
-        self.slot as usize * self.pool.classes[self.class as usize].buf_size + self.off
+        match &self.backing {
+            Backing::Slot { pool, class, slot } => {
+                *slot as usize * pool.classes[*class as usize].buf_size + self.off
+            }
+            Backing::Heap(_) => self.off,
+        }
     }
 
-    /// True when this is the only live handle on the slot. A `true` result
-    /// is stable — no other handle exists to be cloned from — while a
-    /// `false` result may be stale (a peer may be mid-drop).
+    /// True when this is the only live handle on the backing. A `true`
+    /// result is stable — no other handle exists to be cloned from — while
+    /// a `false` result may be stale (a peer may be mid-drop).
     pub fn is_unique(&self) -> bool {
-        self.slot_ref().refs.load(Ordering::Acquire) == 1
+        self.refs() == 1
     }
 
     /// Read access to the bytes.
     pub fn as_slice(&self) -> &[u8] {
-        // SAFETY: mutation is only possible through `fill`/`write_with`,
-        // which require `refs == 1` and `&mut self`; while this shared
-        // borrow is alive either refs > 1 (no writer can exist) or the
-        // sole handle is borrowed here (so no `&mut` borrow can coexist).
-        let data = unsafe { &*self.slot_ref().data.get() };
+        let data: &[u8] = match &self.backing {
+            // SAFETY: mutation is only possible through `write_with`,
+            // which requires `refs == 1` and `&mut self`; while this
+            // shared borrow is alive either refs > 1 (no writer can exist)
+            // or the sole handle is borrowed here (so no `&mut` borrow can
+            // coexist).
+            Backing::Slot { pool, class, slot } => unsafe {
+                &*Self::slot_ref(pool, *class, *slot).data.get()
+            },
+            Backing::Heap(v) => v,
+        };
         &data[self.off..self.off + self.len]
     }
 
     /// Copy `src` into the front of the view. Fails (returns false)
     /// unless the handle is unique and `src` fits.
     pub fn fill(&mut self, src: &[u8]) -> bool {
-        if !self.is_unique() || src.len() > self.len {
-            return false;
-        }
-        // SAFETY: refs == 1 and we hold `&mut self`, so no other handle —
-        // and no other borrow of this handle — can observe the bytes
-        // mid-write. A concurrent drop of a peer would contradict
-        // refs == 1 (a true `is_unique` is stable).
-        let data = unsafe { &mut *self.slot_ref().data.get() };
-        data[self.off..self.off + src.len()].copy_from_slice(src);
-        true
+        src.len() <= self.len && self.write_with(|b| b[..src.len()].copy_from_slice(src))
     }
 
     /// Run `f` over the mutable bytes of a unique handle (in-place fill,
     /// e.g. a device DMA target). Fails (returns false) if shared.
     pub fn write_with<F: FnOnce(&mut [u8])>(&mut self, f: F) -> bool {
-        if !self.is_unique() {
-            return false;
-        }
-        // SAFETY: same uniqueness argument as `fill`.
-        let data = unsafe { &mut *self.slot_ref().data.get() };
-        f(&mut data[self.off..self.off + self.len]);
+        let range = self.off..self.off + self.len;
+        let unique = self.is_unique();
+        let data: &mut [u8] = match &mut self.backing {
+            Backing::Slot { pool, class, slot } => {
+                if !unique {
+                    return false;
+                }
+                // SAFETY: refs == 1 and we hold `&mut self`, so no other
+                // handle — and no other borrow of this handle — can
+                // observe the bytes mid-write. A concurrent drop of a peer
+                // would contradict refs == 1 (a true `is_unique` is
+                // stable).
+                unsafe { &mut *Self::slot_ref(pool, *class, *slot).data.get() }
+            }
+            Backing::Heap(v) => match Arc::get_mut(v) {
+                Some(v) => v,
+                None => return false,
+            },
+        };
+        f(&mut data[range]);
         true
     }
 
@@ -617,6 +696,17 @@ impl BufHandle {
         Some(h)
     }
 
+    /// Widen this view over `next` when both view one allocation and
+    /// `next` starts where this view ends (no copy, no refcount traffic);
+    /// returns whether it did.
+    pub fn extend(&mut self, next: &BufHandle) -> bool {
+        let adjacent = self.same_slot(next) && self.off + self.len == next.off;
+        if adjacent {
+            self.len += next.len;
+        }
+        adjacent
+    }
+
     /// Shrink the view to its first `new_len` bytes (no-op if larger).
     pub fn truncate(&mut self, new_len: usize) {
         self.len = self.len.min(new_len);
@@ -626,13 +716,24 @@ impl BufHandle {
     /// payload copy and is recorded as one.
     pub fn to_vec(&self) -> Vec<u8> {
         note_payload_copy(self.len);
-        // copy-ok: explicit materialization for legacy Vec consumers; counted via note_payload_copy
+        // copy-ok: explicit materialization for owned-Vec consumers; counted via note_payload_copy
         self.as_slice().to_vec()
     }
 
-    /// True when `other` views the same slot (same allocation).
+    /// True when `other` views the same allocation.
     pub fn same_slot(&self, other: &BufHandle) -> bool {
-        Arc::ptr_eq(&self.pool, &other.pool) && self.class == other.class && self.slot == other.slot
+        match (&self.backing, &other.backing) {
+            (
+                Backing::Slot { pool, class, slot },
+                Backing::Slot {
+                    pool: p2,
+                    class: c2,
+                    slot: s2,
+                },
+            ) => Arc::ptr_eq(pool, p2) && class == c2 && slot == s2,
+            (Backing::Heap(a), Backing::Heap(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// True when the two views' byte ranges intersect. Distinct
@@ -643,7 +744,7 @@ impl BufHandle {
     }
 
     /// The tenant this allocation is billed to ([`TenantId::NONE`] for
-    /// untenanted allocations).
+    /// untenanted and heap-backed allocations).
     pub fn tenant(&self) -> TenantId {
         self.tenant
     }
@@ -651,13 +752,23 @@ impl BufHandle {
 
 impl Clone for BufHandle {
     fn clone(&self) -> Self {
-        // relaxed-ok: same protocol as Arc::clone — the fetch_sub/fence pair in Drop provides the release/acquire edge
-        let prev = self.slot_ref().refs.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "cloned a dead handle");
+        let backing = match &self.backing {
+            Backing::Slot { pool, class, slot } => {
+                // relaxed-ok: same protocol as Arc::clone — the fetch_sub/fence pair in Drop provides the release/acquire edge
+                let prev = Self::slot_ref(pool, *class, *slot)
+                    .refs
+                    .fetch_add(1, Ordering::Relaxed);
+                debug_assert!(prev > 0, "cloned a dead handle");
+                Backing::Slot {
+                    pool: Arc::clone(pool),
+                    class: *class,
+                    slot: *slot,
+                }
+            }
+            Backing::Heap(v) => Backing::Heap(Arc::clone(v)),
+        };
         BufHandle {
-            pool: Arc::clone(&self.pool),
-            class: self.class,
-            slot: self.slot,
+            backing,
             off: self.off,
             len: self.len,
             tenant: self.tenant,
@@ -667,26 +778,33 @@ impl Clone for BufHandle {
 
 impl Drop for BufHandle {
     fn drop(&mut self) {
+        // Heap bytes are freed by their `Arc`.
+        let Backing::Slot { pool, class, slot } = &self.backing else {
+            return;
+        };
+        let (class, slot) = (*class, *slot);
         // Release so our writes to the bytes happen-before the next owner;
         // the winner (prev == 1) takes the matching Acquire fence. Freeing
         // iff fetch_sub returned 1 is the single-free protocol the labcheck
         // rc model checker verifies (a load-after-sub recheck double-frees).
-        let prev = self.slot_ref().refs.fetch_sub(1, Ordering::Release);
+        let prev = Self::slot_ref(pool, class, slot)
+            .refs
+            .fetch_sub(1, Ordering::Release);
         if prev == 1 {
             fence(Ordering::Acquire);
             #[cfg(debug_assertions)]
             {
-                let was_live = self.pool.tracker.lock().remove(&(self.class, self.slot)); // lock-class: pool.tracker
+                let was_live = pool.tracker.lock().remove(&(class, slot)); // lock-class: pool.tracker
                 assert!(was_live, "buffer slot freed twice");
             }
             // relaxed-ok: stats counter
-            self.pool.live.fetch_sub(1, Ordering::Relaxed);
-            if let Some(cell) = self.pool.tenant_cell(self.tenant, false) {
-                let charge = self.pool.classes[self.class as usize].buf_size as u64;
+            pool.live.fetch_sub(1, Ordering::Relaxed);
+            if let Some(cell) = pool.tenant_cell(self.tenant, false) {
+                let charge = pool.classes[class as usize].buf_size as u64;
                 // relaxed-ok: uncharge of the stats-grade quota accounting made at alloc
                 cell.live_bytes.fetch_sub(charge, Ordering::Relaxed);
             }
-            self.pool.classes[self.class as usize].push_free(self.slot);
+            pool.classes[class as usize].push_free(slot);
         }
     }
 }
@@ -697,7 +815,7 @@ impl std::fmt::Debug for BufHandle {
             .field("region", &self.region())
             .field("offset", &self.offset())
             .field("len", &self.len)
-            .field("refs", &self.slot_ref().refs.load(Ordering::Acquire))
+            .field("refs", &self.refs())
             .finish()
     }
 }
@@ -725,21 +843,60 @@ mod tests {
     }
 
     #[test]
-    fn size_class_selection_and_fallover() {
+    fn size_class_selection_without_fallover() {
         let pool = small_pool();
         let a = pool.alloc(64).unwrap();
         assert_eq!(a.region(), 0);
         let b = pool.alloc(65).unwrap();
         assert_eq!(b.region(), 1);
-        // Exhaust the small class; the next small alloc falls over.
-        let _c = pool.alloc(1).unwrap();
-        let _d = pool.alloc(1).unwrap();
-        let _e = pool.alloc(1).unwrap();
-        let f = pool.alloc(1).unwrap();
-        assert_eq!(f.region(), 1);
-        // Both classes full now.
+        // Exhaust the small class: the next small alloc does NOT fall over
+        // into the 256-byte class, which still has a free slot.
+        let _rest: Vec<_> = (0..3).map(|_| pool.alloc(1).unwrap()).collect();
         assert!(pool.alloc(1).is_none());
-        assert!(pool.alloc(300).is_none());
+        assert_eq!(pool.free_slots_for(65), 1);
+        assert!(pool.alloc(300).is_none(), "larger than every class");
+    }
+
+    #[test]
+    fn alloc_payload_falls_back_to_heap_when_dry_or_oversize() {
+        let pool = small_pool();
+        let held: Vec<_> = (0..4).map(|_| pool.alloc(64).unwrap()).collect();
+        let mut dry = pool.alloc_payload(10);
+        assert_eq!(dry.region(), HEAP_REGION);
+        assert_eq!(dry.as_slice(), &[0u8; 10]);
+        assert!(dry.fill(b"heap bytes"));
+        let shared = dry.clone();
+        assert!(!dry.is_unique());
+        assert!(!dry.fill(b"clobbered!"), "shared heap bytes are read-only");
+        assert!(shared.same_slot(&dry) && shared.overlaps(&dry));
+        drop(shared);
+        assert!(dry.is_unique());
+        assert_eq!(dry.slice(5, 5).unwrap().as_slice(), b"bytes");
+        let big = pool.payload_from(&[7u8; 1000]);
+        assert_eq!(big.region(), HEAP_REGION);
+        assert_eq!(big.as_slice(), &[7u8; 1000][..]);
+        assert!(!big.overlaps(&dry));
+        // Heap handles never occupy pool slots.
+        assert_eq!(pool.live(), 4);
+        // A free slot of the right class is still preferred, and comes
+        // back zeroed even though the slot held bytes before.
+        let mut used = held.into_iter().next().unwrap();
+        assert!(used.fill(&[9u8; 64]));
+        drop(used);
+        let recycled = pool.alloc_payload(64);
+        assert_eq!(recycled.region(), 0);
+        assert_eq!(recycled.as_slice(), &[0u8; 64][..]);
+    }
+
+    #[test]
+    fn from_vec_adopts_without_copy() {
+        let before = payload_copies();
+        let v = vec![1u8, 2, 3];
+        let ptr = v.as_ptr();
+        let h = BufHandle::from_vec(v);
+        assert_eq!(h.as_slice().as_ptr(), ptr);
+        assert_eq!(payload_copies(), before);
+        assert!(h.tenant().is_none());
     }
 
     #[test]
@@ -760,7 +917,7 @@ mod tests {
     #[test]
     fn slice_shares_without_copy() {
         let pool = small_pool();
-        let h = pool.alloc_from(b"abcdefgh").unwrap();
+        let h = pool.payload_from(b"abcdefgh");
         let s = h.slice(2, 3).unwrap();
         assert_eq!(s.as_slice(), b"cde");
         assert!(s.same_slot(&h));
@@ -771,6 +928,21 @@ mod tests {
         assert_eq!(pool.live(), 1); // slice keeps the slot alive
         drop(s);
         assert_eq!(pool.live(), 0);
+    }
+
+    #[test]
+    fn extend_stitches_adjacent_views_of_one_allocation() {
+        let pool = small_pool();
+        let h = pool.payload_from(b"abcdefgh");
+        let mut a = h.slice(0, 3).unwrap();
+        let mut b = h.slice(3, 2).unwrap();
+        let c = h.slice(6, 2).unwrap();
+        assert!(!b.extend(&a), "wrong order");
+        assert!(!b.extend(&c), "gap between the views");
+        assert!(!a.extend(&pool.payload_from(b"defgh")), "other allocation");
+        assert_eq!(a.as_slice(), b"abc");
+        assert!(a.extend(&b));
+        assert_eq!(a.as_slice(), b"abcde");
     }
 
     #[test]
@@ -803,7 +975,7 @@ mod tests {
     fn copy_counter_tracks_boundary_copies() {
         let pool = small_pool();
         let before = payload_copies();
-        let h = pool.alloc_from(b"counted").unwrap();
+        let h = pool.payload_from(b"counted");
         assert_eq!(payload_copies(), before + 1);
         let _s = h.slice(0, 3).unwrap(); // no copy
         let _c = h.clone(); // no copy
@@ -852,16 +1024,18 @@ mod tests {
     }
 
     #[test]
-    fn tenant_charge_rolls_back_on_class_fallover() {
+    fn tenant_charge_rolls_back_when_class_is_dry() {
         let pool = small_pool();
         let t = TenantId(9);
         pool.set_tenant_quota(t, 1024);
         // Exhaust the 64-byte class untenanted.
         let _held: Vec<_> = (0..4).map(|_| pool.alloc(64).unwrap()).collect();
-        // Tenant alloc falls over to the 256-byte class; only the larger
-        // class's charge must stick.
-        let h = pool.alloc_for(t, 10).unwrap();
-        assert_eq!(h.region(), 1);
+        // The tenant's small alloc finds its class dry: no fall-over, and
+        // no charge sticks (a dry class is not a quota reject).
+        assert!(pool.alloc_for(t, 10).is_none());
+        assert_eq!(pool.tenant_live_bytes(t), 0);
+        assert_eq!(pool.tenant_rejects(t), 0);
+        let h = pool.alloc_for(t, 100).unwrap();
         assert_eq!(pool.tenant_live_bytes(t), 256);
         drop(h);
         assert_eq!(pool.tenant_live_bytes(t), 0);

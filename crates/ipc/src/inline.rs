@@ -21,6 +21,12 @@ pub struct InlineData {
 }
 
 impl InlineData {
+    /// The empty payload (a read at or past end of file).
+    pub const EMPTY: InlineData = InlineData {
+        len: 0,
+        bytes: [0u8; INLINE_MAX],
+    };
+
     /// Wrap `data` if it fits; `None` above [`INLINE_MAX`] bytes (the
     /// caller falls back to the BufferPool path).
     pub fn from_slice(data: &[u8]) -> Option<InlineData> {

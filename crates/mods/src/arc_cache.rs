@@ -17,9 +17,8 @@
 //! Like [`crate::lru`], the mod shards its state (`shards` factory param,
 //! default 1 — each shard runs an independent ARC instance over its slice
 //! of the capacity), guards misses with an in-flight claim so racing
-//! misses fetch downstream exactly once, and serves `WriteBuf`/`ReadBuf`
-//! zero-copy by storing pool handles and answering hits with a refcount
-//! bump.
+//! misses fetch downstream exactly once, and stores payload handles one
+//! entry per 4 KiB block, answering hits with a refcount bump.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,26 +28,22 @@ use parking_lot::Mutex;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::BufHandle;
 use labstor_kernel::page_cache::LruMap;
 use labstor_sim::Ctx;
 use labstor_telemetry::PerfCounters;
 
-use crate::cache_common::{shard_of, CacheData, InflightSet};
+use crate::cache_common::{hit_blocks, shard_of, shard_runs, InflightSet, CACHE_BLOCK};
 
 /// Per-block lookup cost (two-list bookkeeping is slightly heavier than a
 /// plain LRU's).
 const LOOKUP_NS: u64 = 190;
-const COPY_NS_PER_KB: u64 = 300;
-
-fn copy_cost(bytes: usize) -> u64 {
-    (bytes as u64 * COPY_NS_PER_KB) / 1024
-}
 
 struct ArcState {
     /// Recency list: blocks seen exactly once.
-    t1: LruMap<u64, CacheData>,
+    t1: LruMap<u64, BufHandle>,
     /// Frequency list: blocks seen more than once.
-    t2: LruMap<u64, CacheData>,
+    t2: LruMap<u64, BufHandle>,
     /// Ghosts of T1 evictions (keys only).
     b1: LruMap<u64, ()>,
     /// Ghosts of T2 evictions (keys only).
@@ -91,7 +86,7 @@ impl ArcCacheMod {
     /// instances (capacity divides evenly; each shard adapts its own `p`).
     pub fn with_shards(capacity_bytes: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let capacity_blocks = (capacity_bytes / 4096).max(2);
+        let capacity_blocks = (capacity_bytes / CACHE_BLOCK).max(2);
         ArcCacheMod {
             shards: (0..shards).map(|_| Mutex::new(ArcState::new())).collect(),
             inflight: InflightSet::new(),
@@ -144,11 +139,25 @@ impl ArcCacheMod {
         }
     }
 
-    /// Insert or touch a block with its data; runs the full ARC state
-    /// machine on the block's shard.
-    fn admit(&self, lba: u64, data: CacheData) {
-        let cap = self.per_shard_blocks;
+    /// Cache `buf` landing at `lba`, one entry per block.
+    fn admit_blocks(&self, lba: u64, buf: &BufHandle) {
+        shard_runs(lba, buf, self.shards.len(), |si, run| {
+            let mut s = self.shards[si].lock();
+            for (blba, data) in run {
+                Self::admit_locked(&mut s, self.per_shard_blocks, blba, data);
+            }
+        });
+    }
+
+    /// Insert or touch a block with its data on its shard.
+    fn admit(&self, lba: u64, data: BufHandle) {
         let mut s = self.shard(lba).lock();
+        Self::admit_locked(&mut s, self.per_shard_blocks, lba, data);
+    }
+
+    /// The full ARC state machine for one block, on its locked shard `s`
+    /// of capacity `cap`.
+    fn admit_locked(s: &mut ArcState, cap: usize, lba: u64, data: BufHandle) {
         // Case 1: hit in T1 or T2 → promote to T2 MRU.
         if s.t1.remove(&lba).is_some() || s.t2.peek(&lba).is_some() {
             s.t2.insert(lba, data);
@@ -158,7 +167,7 @@ impl ArcCacheMod {
         if s.b1.remove(&lba).is_some() {
             let delta = (s.b2.len() / s.b1.len().max(1)).max(1);
             s.p = (s.p + delta).min(cap);
-            Self::replace(&mut s, false);
+            Self::replace(s, false);
             s.t2.insert(lba, data);
             return;
         }
@@ -166,7 +175,7 @@ impl ArcCacheMod {
         if s.b2.remove(&lba).is_some() {
             let delta = (s.b1.len() / s.b2.len().max(1)).max(1);
             s.p = s.p.saturating_sub(delta);
-            Self::replace(&mut s, true);
+            Self::replace(s, true);
             s.t2.insert(lba, data);
             return;
         }
@@ -176,7 +185,7 @@ impl ArcCacheMod {
         if s.t1.len() + s.b1.len() >= cap {
             if s.t1.len() < cap {
                 s.b1.pop_lru();
-                Self::replace(&mut s, false);
+                Self::replace(s, false);
             } else {
                 // B1 is empty and T1 full: discard T1's LRU outright.
                 s.t1.pop_lru();
@@ -185,52 +194,35 @@ impl ArcCacheMod {
             if s.t1.len() + s.t2.len() + s.b1.len() + s.b2.len() >= 2 * cap {
                 s.b2.pop_lru();
             }
-            Self::replace(&mut s, false);
+            Self::replace(s, false);
         }
         s.t1.insert(lba, data);
     }
 
-    /// Build the hit response: a `ReadBuf` hit on a handle-backed block
-    /// is a refcount bump (no memcpy, no charge); everything else copies
-    /// (counted) and is charged the virtual memcpy.
-    fn answer(ctx: &mut Ctx, data: &CacheData, len: usize, zero_copy: bool) -> Option<RespPayload> {
-        if zero_copy {
-            if let CacheData::Buf(h) = data {
-                return Some(RespPayload::DataBuf(h.slice(0, len)?));
-            }
-        }
-        let out = match data {
-            CacheData::Vec(v) => {
-                labstor_ipc::note_payload_copy(len);
-                v[..len].to_vec() // copy-ok: legacy copying hit; counted above and charged below
-            }
-            CacheData::Buf(h) => h.slice(0, len)?.to_vec(), // copy-ok: legacy Read of a handle-backed block; to_vec self-counts
-        };
-        ctx.advance(copy_cost(len));
-        Some(RespPayload::Data(out))
+    /// A view of the cached bytes at `lba` if every block is resident
+    /// (see [`hit_blocks`]): a refcount bump.
+    fn try_hit(&self, lba: u64, len: usize) -> Option<BufHandle> {
+        hit_blocks(lba, len, |blba, want| self.hit_block(blba, want))
     }
 
-    /// Answer from the cache if resident. A T2 hit refreshes recency; a
-    /// T1 hit promotes to T2.
-    fn try_hit(&self, ctx: &mut Ctx, lba: u64, len: usize, zero_copy: bool) -> Option<RespPayload> {
+    /// The first `len` bytes of the block at `lba` if resident. A T2 hit
+    /// refreshes recency; a T1 hit promotes to T2.
+    fn hit_block(&self, lba: u64, len: usize) -> Option<BufHandle> {
         let mut s = self.shard(lba).lock();
-        if let Some(d) = s.t2.get(&lba) {
-            if d.len() >= len {
-                return Self::answer(ctx, d, len, zero_copy);
-            }
+        if let Some(hit) = s.t2.get(&lba).and_then(|d| d.slice(0, len)) {
+            return Some(hit);
         }
-        if let Some(d) = s.t1.remove(&lba) {
-            if d.len() >= len {
-                let resp = Self::answer(ctx, &d, len, zero_copy);
-                s.t2.insert(lba, d);
-                return resp;
-            }
+        let d = s.t1.remove(&lba)?;
+        let hit = d.slice(0, len);
+        if hit.is_some() {
+            s.t2.insert(lba, d);
+        } else {
             s.t1.insert(lba, d);
         }
-        None
+        hit
     }
 
-    /// The shared read path with the in-flight miss guard (see
+    /// The read path with the in-flight miss guard (see
     /// [`crate::lru::LruCacheMod`] — same double-fetch fix).
     fn do_read(
         &self,
@@ -239,28 +231,21 @@ impl ArcCacheMod {
         req: Request,
         lba: u64,
         len: usize,
-        zero_copy: bool,
     ) -> RespPayload {
         ctx.advance(LOOKUP_NS);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
+        if let Some(h) = self.try_hit(lba, len) {
             self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
+            return RespPayload::DataBuf(h);
         }
         let guard = self.inflight.claim(lba);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
+        if let Some(h) = self.try_hit(lba, len) {
             self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
+            return RespPayload::DataBuf(h);
         }
         self.misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
         let resp = self.fwd(ctx, env, req);
-        match &resp {
-            RespPayload::DataBuf(h) => self.admit(lba, CacheData::Buf(h.clone())),
-            RespPayload::Data(data) => {
-                ctx.advance(copy_cost(data.len()));
-                labstor_ipc::note_payload_copy(data.len());
-                self.admit(lba, CacheData::Vec(data.clone())); // copy-ok: legacy miss fill copies the fetched block into the cache; counted above
-            }
-            _ => {}
+        if let RespPayload::DataBuf(h) = &resp {
+            self.admit_blocks(lba, h);
         }
         drop(guard);
         resp
@@ -280,25 +265,16 @@ impl LabMod for ArcCacheMod {
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
         let resp = match &req.payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                ctx.advance(LOOKUP_NS + 2 * copy_cost(data.len()));
-                labstor_ipc::note_payload_copy(data.len());
-                self.admit(*lba, CacheData::Vec(data.clone())); // copy-ok: legacy write path copies into the cache; counted above
-                self.fwd(ctx, env, req)
-            }
-            Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                // Zero-copy write admission: refcount bump, lookup only.
+            Payload::Block(BlockOp::Write { lba, buf }) => {
+                // Admission keeps refcounts on the caller's buffer: lookup
+                // only, no memcpy.
                 ctx.advance(LOOKUP_NS);
-                self.admit(*lba, CacheData::Buf(buf.clone()));
+                self.admit_blocks(*lba, buf);
                 self.fwd(ctx, env, req)
             }
             Payload::Block(BlockOp::Read { lba, len }) => {
                 let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, false)
-            }
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, true)
+                self.do_read(ctx, env, req, lba, len)
             }
             _ => self.fwd(ctx, env, req),
         };
@@ -308,9 +284,8 @@ impl LabMod for ArcCacheMod {
         resp
     }
 
-    fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf
-            .est_ns(LOOKUP_NS + 2 * copy_cost(req.payload_bytes()))
+    fn est_processing_time(&self, _req: &Request) -> u64 {
+        self.perf.est_ns(LOOKUP_NS)
     }
 
     fn est_total_time(&self) -> u64 {
@@ -318,11 +293,11 @@ impl LabMod for ArcCacheMod {
     }
 
     fn state_update(&self, old: &dyn LabMod) {
-        // Swap-in from either cache flavor: warm blocks migrate (handles
-        // by refcount, vectors by move — no byte copies either way).
+        // Swap-in from either cache flavor: warm blocks migrate by handle,
+        // no byte copies.
         if let Some(prev) = old.as_any().downcast_ref::<ArcCacheMod>() {
             self.perf.absorb(&prev.perf);
-            let mut drained: Vec<(u64, CacheData)> = Vec::new();
+            let mut drained: Vec<(u64, BufHandle)> = Vec::new();
             for shard in prev.shards.iter() {
                 let mut theirs = shard.lock();
                 while let Some(e) = theirs.t1.pop_lru() {
@@ -383,23 +358,18 @@ mod tests {
         }
         fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
             match req.payload {
-                Payload::Block(BlockOp::Write { lba, data }) => {
-                    let n = data.len();
-                    self.blocks.lock().insert(lba, data);
-                    RespPayload::Len(n)
-                }
-                Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
+                Payload::Block(BlockOp::Write { lba, buf }) => {
                     let n = buf.len();
-                    self.blocks.lock().insert(lba, buf.to_vec());
+                    self.blocks.lock().insert(lba, buf.as_slice().to_vec());
                     RespPayload::Len(n)
                 }
-                Payload::Block(BlockOp::Read { lba, len })
-                | Payload::Block(BlockOp::ReadBuf { lba, len }) => {
+                Payload::Block(BlockOp::Read { lba, len }) => {
                     self.reads.fetch_add(1, Ordering::Relaxed);
-                    match self.blocks.lock().get(&lba) {
-                        Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
-                        None => RespPayload::Data(vec![0u8; len]),
-                    }
+                    let bytes = match self.blocks.lock().get(&lba) {
+                        Some(d) => d[..len.min(d.len())].to_vec(),
+                        None => vec![0u8; len],
+                    };
+                    RespPayload::DataBuf(BufHandle::from_vec(bytes))
                 }
                 _ => RespPayload::Ok,
             }
@@ -478,7 +448,7 @@ mod tests {
                 1,
                 Payload::Block(BlockOp::Write {
                     lba,
-                    data: vec![fill; 4096],
+                    buf: BufHandle::from_vec(vec![fill; 4096]),
                 }),
                 Credentials::ROOT,
             ),
@@ -493,7 +463,7 @@ mod tests {
         let mut ctx = Ctx::new();
         write(&mm, &stack, &mut ctx, 8, 7);
         let r = read(&mm, &stack, &mut ctx, 8);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![7u8; 4096]));
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == [7u8; 4096]));
         assert_eq!(dev.reads.load(Ordering::Relaxed), 0);
     }
 
@@ -580,7 +550,7 @@ mod tests {
     fn sharded_capacity_is_respected_per_shard() {
         let arc = ArcCacheMod::with_shards(16 * 4096, 4);
         for lba in 0..400u64 {
-            arc.admit(lba, CacheData::Vec(vec![lba as u8; 4096]));
+            arc.admit(lba, BufHandle::from_vec(vec![lba as u8; 4096]));
         }
         for shard in arc.shards.iter() {
             let s = shard.lock();
@@ -629,7 +599,7 @@ mod tests {
         mm.insert_instance("arc", Arc::new(newer));
         let before = dev.reads.load(Ordering::Relaxed);
         let r = read(&mm, &stack, &mut ctx, 1);
-        assert!(matches!(r, RespPayload::Data(d) if d == vec![11u8; 4096]));
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == [11u8; 4096]));
         assert_eq!(
             dev.reads.load(Ordering::Relaxed),
             before,

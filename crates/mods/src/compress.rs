@@ -16,6 +16,7 @@ use parking_lot::RwLock;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::BufHandle;
 use labstor_sim::Ctx;
 use labstor_telemetry::PerfCounters;
 
@@ -61,9 +62,9 @@ impl CompressMod {
         )
     }
 
-    /// Compress `data`, record the extent, and forward the stored bytes.
-    /// Compression is a transform, not a copy: the stored stream is new
-    /// bytes either way, so `Write` and `WriteBuf` share this path.
+    /// Compress `data`, record the extent, and forward the stored bytes
+    /// (the codec's output buffer itself — compression is a transform,
+    /// not a copy).
     fn do_write(
         &self,
         ctx: &mut Ctx,
@@ -79,7 +80,7 @@ impl CompressMod {
             (compressed, false)
         } else {
             labstor_ipc::note_payload_copy(orig_len);
-            // copy-ok: incompressible payloads are stored verbatim; counted just above
+            // copy-ok: incompressible payloads are stored verbatim, padded to sectors; counted just above
             (data.to_vec(), true)
         };
         let comp_len = stored.len();
@@ -96,22 +97,16 @@ impl CompressMod {
                 raw,
             },
         );
-        let mut fwd = Request::new(
-            req.id,
-            req.stack,
-            Payload::Block(BlockOp::Write { lba, data: stored }),
-            req.creds,
-        );
-        fwd.vertex = req.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
-        match env.forward(ctx, fwd) {
+        let buf = BufHandle::from_vec(stored);
+        match env.forward(ctx, req.derive(Payload::Block(BlockOp::Write { lba, buf }))) {
             r if r.is_ok() => RespPayload::Len(orig_len),
             err => err,
         }
     }
 
-    /// Fetch an extent's stored bytes and decode them to the original.
+    /// Fetch an extent's stored bytes and decode them to the original: a
+    /// raw extent is a slice of the fetched buffer, a compressed one the
+    /// decoder's output buffer.
     fn fetch_decoded(
         &self,
         ctx: &mut Ctx,
@@ -119,31 +114,23 @@ impl CompressMod {
         req: &Request,
         lba: u64,
         e: Extent,
-    ) -> Result<Vec<u8>, RespPayload> {
-        let mut fwd = Request::new(
-            req.id,
-            req.stack,
-            Payload::Block(BlockOp::Read {
-                lba,
-                len: e.stored_len,
-            }),
-            req.creds,
-        );
-        fwd.vertex = req.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
-        let stored = match env.forward(ctx, fwd) {
-            RespPayload::Data(stored) => stored,
-            RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: decoder needs owned bytes; to_vec self-counts
+    ) -> Result<BufHandle, RespPayload> {
+        let read = BlockOp::Read {
+            lba,
+            len: e.stored_len,
+        };
+        let mut stored = match env.forward(ctx, req.derive(Payload::Block(read))) {
+            RespPayload::DataBuf(h) => h,
             other => return Err(other),
         };
         if e.raw {
-            let mut d = stored;
-            d.truncate(e.orig_len);
-            Ok(d)
+            stored.truncate(e.orig_len);
+            Ok(stored)
         } else {
             ctx.advance(decompress_cost_ns(e.orig_len));
-            decompress(&stored[..e.comp_len.min(stored.len())])
+            let bytes = stored.as_slice();
+            decompress(&bytes[..e.comp_len.min(bytes.len())])
+                .map(BufHandle::from_vec)
                 .map_err(|err| RespPayload::Err(format!("decompression failed: {err}")))
         }
     }
@@ -175,16 +162,10 @@ impl LabMod for CompressMod {
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
         let resp = match &req.payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                // Legacy Vec ingress: compress borrows the payload in
-                // place, so even this path copies nothing extra.
-                self.do_write(ctx, env, &req, *lba, data)
-            }
-            Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                // Zero-copy ingress: compress straight out of the shared
-                // buffer — no `Vec` materialization of the input.
-                let (lba, buf) = (*lba, buf.clone());
-                self.do_write(ctx, env, &req, lba, buf.as_slice())
+            Payload::Block(BlockOp::Write { lba, buf }) => {
+                // Compress straight out of the shared buffer — no copy of
+                // the input.
+                self.do_write(ctx, env, &req, *lba, buf.as_slice())
             }
             Payload::Block(BlockOp::Read { lba, len }) => {
                 let (lba, len) = (*lba, *len);
@@ -192,32 +173,12 @@ impl LabMod for CompressMod {
                 match extent {
                     Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
                         Ok(mut data) => {
-                            data.truncate(len.min(data.len()));
-                            RespPayload::Data(data)
+                            data.truncate(len);
+                            RespPayload::DataBuf(data)
                         }
                         Err(resp) => resp,
                     },
                     // Unknown extent: pass through untouched.
-                    None => env.forward(ctx, req),
-                }
-            }
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                let extent = self.extents.read().get(&lba).copied();
-                match extent {
-                    Some(e) => match self.fetch_decoded(ctx, env, &req, lba, e) {
-                        Ok(mut data) => {
-                            data.truncate(len.min(data.len()));
-                            // The decoder's output lands in a pool buffer so
-                            // upstream stages share it by refcount.
-                            match labstor_ipc::default_pool().alloc_from(&data) {
-                                Some(h) => RespPayload::DataBuf(h),
-                                None => RespPayload::Data(data), // pool dry: legacy Vec fallback
-                            }
-                        }
-                        Err(resp) => resp,
-                    },
-                    // Unknown extent: downstream answers zero-copy directly.
                     None => env.forward(ctx, req),
                 }
             }
@@ -278,17 +239,19 @@ mod tests {
         }
         fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
             match req.payload {
-                Payload::Block(BlockOp::Write { lba, data }) => {
-                    self.bytes_written
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
-                    let n = data.len();
-                    self.blocks.lock().insert(lba, data);
+                Payload::Block(BlockOp::Write { lba, buf }) => {
+                    let n = buf.len();
+                    self.bytes_written.fetch_add(n as u64, Ordering::Relaxed);
+                    self.blocks.lock().insert(lba, buf.as_slice().to_vec());
                     RespPayload::Len(n)
                 }
-                Payload::Block(BlockOp::Read { lba, len }) => match self.blocks.lock().get(&lba) {
-                    Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
-                    None => RespPayload::Data(vec![0u8; len]),
-                },
+                Payload::Block(BlockOp::Read { lba, len }) => {
+                    let bytes = match self.blocks.lock().get(&lba) {
+                        Some(d) => d[..len.min(d.len())].to_vec(),
+                        None => vec![0u8; len],
+                    };
+                    RespPayload::DataBuf(BufHandle::from_vec(bytes))
+                }
                 _ => RespPayload::Ok,
             }
         }
@@ -355,7 +318,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -371,7 +334,7 @@ mod tests {
             &mut ctx,
         );
         assert!(
-            matches!(r, RespPayload::Data(d) if d == data),
+            matches!(r, RespPayload::DataBuf(h) if h.as_slice() == data),
             "transparent decompression"
         );
     }
@@ -394,7 +357,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 8,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -407,7 +370,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == data));
     }
 
     #[test]
@@ -418,14 +381,11 @@ mod tests {
             .flatten()
             .copied()
             .collect();
-        let mut h = labstor_ipc::default_pool()
-            .alloc(data.len())
-            .expect("pool has a big-enough class");
-        h.write_with(|b| b.copy_from_slice(&data));
+        let h = labstor_ipc::default_pool().payload_from(&data);
         let w = exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::WriteBuf { lba: 4, buf: h }),
+            Payload::Block(BlockOp::Write { lba: 4, buf: h }),
             &mut ctx,
         );
         assert!(matches!(w, RespPayload::Len(n) if n == data.len()));
@@ -436,7 +396,7 @@ mod tests {
         let r = exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::ReadBuf {
+            Payload::Block(BlockOp::Read {
                 lba: 4,
                 len: data.len(),
             }),
@@ -444,7 +404,7 @@ mod tests {
         );
         match r {
             RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), &data[..]),
-            other => panic!("expected a zero-copy DataBuf, got {other:?}"),
+            other => panic!("expected DataBuf, got {other:?}"),
         }
     }
 
@@ -456,7 +416,10 @@ mod tests {
         exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::Write { lba: 0, data }),
+            Payload::Block(BlockOp::Write {
+                lba: 0,
+                buf: BufHandle::from_vec(data),
+            }),
             &mut ctx,
         );
         assert!(
@@ -475,7 +438,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut ctx,
         );

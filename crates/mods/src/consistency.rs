@@ -75,21 +75,9 @@ impl LabMod for ConsistencyMod {
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
         ctx.advance(50);
-        let is_write = matches!(
-            req.payload,
-            Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
-        );
+        let is_write = matches!(req.payload, Payload::Block(BlockOp::Write { .. }));
         // Pre-build the barrier (avoiding a clone of the write payload).
-        let template = if is_write {
-            let mut flush =
-                Request::new(req.id, req.stack, Payload::Block(BlockOp::Flush), req.creds);
-            flush.vertex = req.vertex;
-            flush.core = req.core;
-            flush.qid_hint = req.qid_hint;
-            Some(flush)
-        } else {
-            None
-        };
+        let template = is_write.then(|| req.derive(Payload::Block(BlockOp::Flush)));
         let resp = env.forward(ctx, req);
         if resp.is_ok() && is_write {
             let n = self.writes.fetch_add(1, Ordering::Relaxed) + 1; // relaxed-ok: stat counter; readers tolerate lag
@@ -164,6 +152,7 @@ pub fn install(mm: &ModuleManager) {
 mod tests {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
+    use labstor_ipc::BufHandle;
     use labstor_ipc::Credentials;
 
     struct FlushCounter {
@@ -237,7 +226,7 @@ mod tests {
                 1,
                 Payload::Block(BlockOp::Write {
                     lba: i * 8,
-                    data: vec![0u8; 512],
+                    buf: BufHandle::from_vec(vec![0u8; 512]),
                 }),
                 Credentials::ROOT,
             );

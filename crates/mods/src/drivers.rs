@@ -19,6 +19,7 @@ use std::sync::Arc;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::BufHandle;
 use labstor_kernel::block::CompletionMode;
 use labstor_kernel::BlockLayer;
 use labstor_sim::{BlockDevice, Completion, Ctx, IoRequest, PmemDevice, SimDevice};
@@ -47,37 +48,13 @@ fn stamp_completion(env: &StackEnv<'_>, req_id: u64, c: &Completion) {
     env.stamp_device(req_id, c.done_at.saturating_sub(c.service_ns), c.done_at);
 }
 
-/// Normalize the zero-copy block ops into the legacy shapes the device
-/// models consume: `WriteBuf` becomes `Write` (the byte move below models
-/// the device DMA-ing from the pinned shared buffer — not a CPU payload
-/// copy, so it is not counted), `ReadBuf` becomes `Read` plus a flag
-/// telling the caller to land the completion in a pool buffer.
-fn normalize_block_payload(payload: Payload) -> (Payload, bool) {
-    match payload {
-        Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-            let data = buf.as_slice().to_vec(); // copy-ok: modeled device DMA from the shared buffer, not a CPU copy
-            (Payload::Block(BlockOp::Write { lba, data }), false)
-        }
-        Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-            (Payload::Block(BlockOp::Read { lba, len }), true)
-        }
-        p => (p, false),
-    }
-}
-
-/// Land device-returned read bytes in a pool buffer — the modeled DMA
-/// target — and answer zero-copy. Falls back to the legacy owned `Vec`
-/// when the pool is dry (upstream stages treat `Data` and `DataBuf`
-/// uniformly).
-fn dma_response(data: Vec<u8>) -> RespPayload {
-    match labstor_ipc::default_pool().alloc(data.len()) {
-        Some(mut h) => {
-            // DMA into the shared buffer: not a CPU payload copy.
-            h.write_with(|b| b.copy_from_slice(&data));
-            RespPayload::DataBuf(h)
-        }
-        None => RespPayload::Data(data),
-    }
+/// The bytes a block write hands the device model: the device DMA-ing
+/// from the pinned payload buffer, modeled as a byte move into the
+/// command — not a CPU payload copy, so it is not counted. (Read
+/// completions come back the other way as the device's own buffer,
+/// adopted by [`BufHandle::from_vec`] without a copy.)
+fn dma_out(buf: &BufHandle) -> Vec<u8> {
+    buf.as_slice().to_vec() // copy-ok: modeled device DMA from the shared buffer, not a CPU copy
 }
 
 /// Kernel MQ Driver LabMod.
@@ -118,17 +95,17 @@ impl LabMod for KernelDriverMod {
         // Clamp to the device's queue count: schedulers upstream may be
         // configured for wider devices.
         let qid = req.qid_hint.unwrap_or(req.core) % dev.num_queues();
-        let (payload, want_buf) = normalize_block_payload(req.payload);
 
-        let resp = match payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
+        let resp = match req.payload {
+            Payload::Block(BlockOp::Write { lba, buf }) => {
                 ctx.advance(alloc_ns);
-                let len = data.len();
+                let len = buf.len();
                 let tag = self.layer.alloc_tag();
-                match self
-                    .layer
-                    .submit_io_to_hctx(ctx, qid, IoRequest::write(lba, data, tag))
-                {
+                match self.layer.submit_io_to_hctx(
+                    ctx,
+                    qid,
+                    IoRequest::write(lba, dma_out(&buf), tag),
+                ) {
                     Ok(()) => {
                         let c = self
                             .layer
@@ -155,8 +132,7 @@ impl LabMod for KernelDriverMod {
                             .wait_for_tag(ctx, qid, tag, CompletionMode::DriverPoll);
                         stamp_completion(env, req_id, &c);
                         match c.result {
-                            Ok(data) if want_buf => dma_response(data),
-                            Ok(data) => RespPayload::Data(data),
+                            Ok(data) => RespPayload::DataBuf(BufHandle::from_vec(data)),
                             Err(e) => RespPayload::Err(e.to_string()),
                         }
                     }
@@ -195,10 +171,7 @@ impl LabMod for KernelDriverMod {
         self.perf.est_ns(
             KDRV_ALLOC_NS
                 + dev.model().transfer_ns(
-                    matches!(
-                        req.payload,
-                        Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
-                    ),
+                    matches!(req.payload, Payload::Block(BlockOp::Write { .. })),
                     req.payload_bytes(),
                 ),
         )
@@ -263,16 +236,15 @@ impl LabMod for SpdkMod {
         let req_id = req.id;
         let busy0 = ctx.busy();
         let qid = req.qid_hint.unwrap_or(req.core) % self.dev.num_queues();
-        let (payload, want_buf) = normalize_block_payload(req.payload);
 
-        let resp = match payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
+        let resp = match req.payload {
+            Payload::Block(BlockOp::Write { lba, buf }) => {
                 ctx.advance(SPDK_SUBMIT_NS);
-                let len = data.len();
+                let len = buf.len();
                 let cid = self.cid();
                 match self
                     .dev
-                    .submit_at(qid, IoRequest::write(lba, data, cid), ctx.now())
+                    .submit_at(qid, IoRequest::write(lba, dma_out(&buf), cid), ctx.now())
                 {
                     Ok(()) => {
                         let done = self.wait(ctx, env, req_id, qid, cid);
@@ -292,8 +264,7 @@ impl LabMod for SpdkMod {
                     .submit_at(qid, IoRequest::read(lba, len, cid), ctx.now())
                 {
                     Ok(()) => match self.wait(ctx, env, req_id, qid, cid) {
-                        Ok(data) if want_buf => dma_response(data),
-                        Ok(data) => RespPayload::Data(data),
+                        Ok(data) => RespPayload::DataBuf(BufHandle::from_vec(data)),
                         Err(e) => RespPayload::Err(e),
                     },
                     Err(e) => RespPayload::Err(e.to_string()),
@@ -322,10 +293,7 @@ impl LabMod for SpdkMod {
         self.perf.est_ns(
             SPDK_SUBMIT_NS
                 + self.dev.model().transfer_ns(
-                    matches!(
-                        req.payload,
-                        Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
-                    ),
+                    matches!(req.payload, Payload::Block(BlockOp::Write { .. })),
                     req.payload_bytes(),
                 ),
         )
@@ -421,15 +389,14 @@ impl LabMod for DaxMod {
         let req_id = req.id;
         let busy0 = ctx.busy();
         let t0 = ctx.now();
-        let (payload, want_buf) = normalize_block_payload(req.payload);
-        let resp = match payload {
+        let resp = match req.payload {
             // LBAs keep block-op sector units for stackability; DAX's
             // byte-addressability means transfers need no alignment and
             // lengths are arbitrary.
-            Payload::Block(BlockOp::Write { lba, data }) => {
+            Payload::Block(BlockOp::Write { lba, buf }) => {
                 let offset = lba * labstor_sim::SECTOR_SIZE as u64;
-                match self.dev.store(ctx, offset, &data) {
-                    Ok(_) => RespPayload::Len(data.len()),
+                match self.dev.store(ctx, offset, buf.as_slice()) {
+                    Ok(_) => RespPayload::Len(buf.len()),
                     Err(e) => RespPayload::Err(e.to_string()),
                 }
             }
@@ -437,8 +404,7 @@ impl LabMod for DaxMod {
                 let offset = lba * labstor_sim::SECTOR_SIZE as u64;
                 let mut buf = vec![0u8; len];
                 match self.dev.load(ctx, offset, &mut buf) {
-                    Ok(_) if want_buf => dma_response(buf),
-                    Ok(_) => RespPayload::Data(buf),
+                    Ok(_) => RespPayload::DataBuf(BufHandle::from_vec(buf)),
                     Err(e) => RespPayload::Err(e.to_string()),
                 }
             }
@@ -459,10 +425,7 @@ impl LabMod for DaxMod {
 
     fn est_processing_time(&self, req: &Request) -> u64 {
         self.perf.est_ns(self.dev.model().transfer_ns(
-            matches!(
-                req.payload,
-                Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
-            ),
+            matches!(req.payload, Payload::Block(BlockOp::Write { .. })),
             req.payload_bytes(),
         ))
     }
@@ -517,27 +480,21 @@ impl LabMod for IoUringDriverMod {
         ModType::Driver
     }
 
-    fn process(&self, ctx: &mut Ctx, mut req: Request, env: &StackEnv<'_>) -> RespPayload {
+    fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         use labstor_kernel::sched::IoClass;
         let req_id = req.id;
         let before = ctx.busy();
-        let (payload, want_buf) = normalize_block_payload(req.payload);
-        req.payload = payload;
         let class = if req.payload_bytes() <= 16 * 1024 {
             IoClass::Latency
         } else {
             IoClass::Throughput
         };
         let want_len = match &req.payload {
-            Payload::Block(BlockOp::Write { data, .. }) => Some(data.len()),
+            Payload::Block(BlockOp::Write { buf, .. }) => Some(buf.len()),
             _ => None,
         };
-        let io = match &mut req.payload {
-            // Hand the payload Vec to the submission queue by value — the
-            // request is answered from `want_len`, so nothing reads it back.
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                IoRequest::write(*lba, std::mem::take(data), 0)
-            }
+        let io = match &req.payload {
+            Payload::Block(BlockOp::Write { lba, buf }) => IoRequest::write(*lba, dma_out(buf), 0),
             Payload::Block(BlockOp::Read { lba, len }) => IoRequest::read(*lba, *len, 0),
             Payload::Block(BlockOp::Flush) => IoRequest::flush(0),
             _ => return RespPayload::Err("iouring_driver handles block ops only".into()),
@@ -547,8 +504,9 @@ impl LabMod for IoUringDriverMod {
                 stamp_completion(env, req_id, &c);
                 match (c.result, want_len) {
                     (Ok(_), Some(n)) => RespPayload::Len(n),
-                    (Ok(data), None) if !data.is_empty() && want_buf => dma_response(data),
-                    (Ok(data), None) if !data.is_empty() => RespPayload::Data(data),
+                    (Ok(data), None) if !data.is_empty() => {
+                        RespPayload::DataBuf(BufHandle::from_vec(data))
+                    }
                     (Ok(_), None) => RespPayload::Ok,
                     (Err(e), _) => RespPayload::Err(e.to_string()),
                 }
@@ -566,10 +524,7 @@ impl LabMod for IoUringDriverMod {
         self.perf.est_ns(
             2_000
                 + self.engine_device_transfer(
-                    matches!(
-                        req.payload,
-                        Payload::Block(BlockOp::Write { .. } | BlockOp::WriteBuf { .. })
-                    ),
+                    matches!(req.payload, Payload::Block(BlockOp::Write { .. })),
                     req.payload_bytes(),
                 ),
         )
@@ -705,7 +660,7 @@ mod tests {
             "kd",
             Payload::Block(BlockOp::Write {
                 lba: 8,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -717,7 +672,7 @@ mod tests {
             &mut ctx,
         );
         match r {
-            RespPayload::Data(d) => assert_eq!(d, data),
+            RespPayload::DataBuf(d) => assert_eq!(d.as_slice(), data),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -741,7 +696,7 @@ mod tests {
             "kd",
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut kd_ctx,
         );
@@ -751,7 +706,7 @@ mod tests {
             "sp",
             Payload::Block(BlockOp::Write {
                 lba: 64,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut sp_ctx,
         );
@@ -767,7 +722,7 @@ mod tests {
             Payload::Block(BlockOp::Read { lba: 64, len: 4096 }),
             &mut sp_ctx,
         );
-        assert!(matches!(r, RespPayload::Data(_)));
+        assert!(matches!(r, RespPayload::DataBuf(_)));
     }
 
     #[test]
@@ -782,7 +737,7 @@ mod tests {
             "dx",
             Payload::Block(BlockOp::Write {
                 lba: 1234,
-                data: b"dax bytes".to_vec(),
+                buf: BufHandle::from_vec(b"dax bytes".to_vec()),
             }),
             &mut ctx,
         );
@@ -794,13 +749,13 @@ mod tests {
             &mut ctx,
         );
         match r {
-            RespPayload::Data(d) => assert_eq!(&d, b"dax bytes"),
+            RespPayload::DataBuf(d) => assert_eq!(d.as_slice(), b"dax bytes"),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn kernel_driver_zero_copy_roundtrip() {
+    fn kernel_driver_pool_buffer_roundtrip() {
         let (mm, _d) = setup();
         mm.instantiate(
             "kd",
@@ -809,19 +764,19 @@ mod tests {
         )
         .unwrap();
         let mut ctx = Ctx::new();
-        let mut buf = labstor_ipc::default_pool().alloc(4096).unwrap();
+        let mut buf = labstor_ipc::default_pool().alloc_payload(4096);
         assert!(buf.write_with(|b| b.fill(0xab)));
         let w = run(
             &mm,
             "kd",
-            Payload::Block(BlockOp::WriteBuf { lba: 8, buf }),
+            Payload::Block(BlockOp::Write { lba: 8, buf }),
             &mut ctx,
         );
         assert!(matches!(w, RespPayload::Len(4096)));
         let r = run(
             &mm,
             "kd",
-            Payload::Block(BlockOp::ReadBuf { lba: 8, len: 4096 }),
+            Payload::Block(BlockOp::Read { lba: 8, len: 4096 }),
             &mut ctx,
         );
         match r {
@@ -871,7 +826,7 @@ mod tests {
             1,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![0u8; 512],
+                buf: BufHandle::from_vec(vec![0u8; 512]),
             }),
             Credentials::ROOT,
         );
@@ -898,7 +853,7 @@ mod tests {
             "iu",
             Payload::Block(BlockOp::Write {
                 lba: 8,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -909,7 +864,7 @@ mod tests {
             Payload::Block(BlockOp::Read { lba: 8, len: 4096 }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(got) if got == data));
+        assert!(matches!(r, RespPayload::DataBuf(got) if got.as_slice() == data));
         // Inheriting the kernel block layer costs more than the direct
         // hctx path of the Kernel Driver LabMod.
         mm.instantiate(
@@ -924,7 +879,7 @@ mod tests {
             "kd2",
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut kd_ctx,
         );
@@ -934,7 +889,7 @@ mod tests {
             "iu",
             Payload::Block(BlockOp::Write {
                 lba: 64,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut iu_ctx,
         );
@@ -958,7 +913,7 @@ mod tests {
             "sp",
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![0u8; 512],
+                buf: BufHandle::from_vec(vec![0u8; 512]),
             }),
             &mut ctx,
         );

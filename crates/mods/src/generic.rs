@@ -163,69 +163,32 @@ impl GenericFs {
             .ok_or_else(|| GenericFsError::Client(format!("stack {stack_id} vanished")))
     }
 
-    /// `write(2)` at the fd's position.
+    /// `write(2)` at the fd's position: the client edge's one counted copy
+    /// in (see [`Client::copy_in`]), then the handle path of
+    /// [`GenericFs::write_buf`].
     pub fn write(&mut self, fd: i32, data: &[u8]) -> Result<usize, GenericFsError> {
-        let (sid, ino, pos) = self.entry(fd)?;
-        let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
-            &stack,
-            Payload::Fs(FsOp::Write {
-                ino,
-                offset: pos,
-                data: data.to_vec(),
-            }),
-        )?;
-        match resp {
-            RespPayload::Len(n) => {
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
-                Ok(n)
-            }
-            other => Err(Self::fs_err(other)),
-        }
+        self.entry(fd)?;
+        let buf = self.client.copy_in(data);
+        self.write_buf(fd, buf)
     }
 
-    /// `read(2)` at the fd's position.
-    ///
-    /// Delegates to the zero-copy `ReadBuf` path plus one copy-out:
-    /// the stack assembles the result without the legacy path's counted
-    /// server-side copy, and small results ride inline in the envelope
-    /// (zero counted copies end to end). Large results pay exactly the
-    /// one client-side copy-out an owned-`Vec` API requires.
+    /// `read(2)` at the fd's position: the handle path of
+    /// [`GenericFs::read_buf`] plus the client edge's one counted copy out
+    /// (see [`Client::copy_out`]). Results of ≤ 64 B ride inline in the
+    /// envelope and count no copy at all.
     pub fn read(&mut self, fd: i32, len: usize) -> Result<Vec<u8>, GenericFsError> {
-        let (sid, ino, pos) = self.entry(fd)?;
-        let stack = self.stack_of(sid)?;
-        let (resp, _) = self.client.execute(
-            &stack,
-            Payload::Fs(FsOp::ReadBuf {
-                ino,
-                offset: pos,
-                len,
-            }),
-        )?;
-        match resp {
-            RespPayload::Inline(d) => {
-                let d = d.to_vec(); // copy-ok: inline envelope copy-out, uncounted by design
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            RespPayload::Data(d) => {
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            RespPayload::DataBuf(h) => {
-                let d = h.to_vec(); // copy-ok: read(2) returns owned bytes; to_vec self-counts
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + d.len() as u64;
-                Ok(d)
-            }
-            other => Err(Self::fs_err(other)),
-        }
+        let d = match self.read_resp(fd, len)? {
+            RespPayload::Inline(d) => d.to_vec(), // copy-ok: inline envelope copy-out, uncounted by design
+            RespPayload::DataBuf(h) => self.client.copy_out(&h),
+            other => return Err(Self::fs_err(other)),
+        };
+        self.advance(fd, d.len());
+        Ok(d)
     }
 
     /// Zero-copy `write(2)`: the caller filled a pool buffer in place
     /// (see [`Client::alloc_buf`]) and every stage below passes the
     /// handle by refcount bump, never by copy.
-    ///
-    /// [`Client::alloc_buf`]: labstor_core::Client::alloc_buf
     pub fn write_buf(
         &mut self,
         fd: i32,
@@ -243,7 +206,7 @@ impl GenericFs {
         )?;
         match resp {
             RespPayload::Len(n) => {
-                self.fds.get_mut(&fd).expect("entry checked").pos = pos + n as u64;
+                self.advance(fd, n);
                 Ok(n)
             }
             other => Err(Self::fs_err(other)),
@@ -251,35 +214,43 @@ impl GenericFs {
     }
 
     /// Zero-copy `read(2)`: returns a refcounted view of shared memory —
-    /// a page-cache hit costs a refcount bump, not a copy. Falls back to
-    /// pooling a legacy `Vec` response (counted) when a stage downgraded.
+    /// a page-cache hit costs a refcount bump, not a copy. An inline
+    /// result is moved into a buffer (one counted copy) so the return
+    /// type stays uniform.
     pub fn read_buf(
         &mut self,
         fd: i32,
         len: usize,
     ) -> Result<labstor_ipc::BufHandle, GenericFsError> {
+        let h = match self.read_resp(fd, len)? {
+            RespPayload::DataBuf(h) => h,
+            RespPayload::Inline(d) => labstor_ipc::default_pool().payload_from(d.as_slice()),
+            other => return Err(Self::fs_err(other)),
+        };
+        self.advance(fd, h.len());
+        Ok(h)
+    }
+
+    /// Send a read of `len` bytes at the fd's position.
+    fn read_resp(&mut self, fd: i32, len: usize) -> Result<RespPayload, GenericFsError> {
         let (sid, ino, pos) = self.entry(fd)?;
         let stack = self.stack_of(sid)?;
         let (resp, _) = self.client.execute(
             &stack,
-            Payload::Fs(FsOp::ReadBuf {
+            Payload::Fs(FsOp::Read {
                 ino,
                 offset: pos,
                 len,
             }),
         )?;
-        let h = match resp {
-            RespPayload::DataBuf(h) => h,
-            RespPayload::Inline(d) => labstor_ipc::default_pool()
-                .alloc_from(d.as_slice())
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
-            RespPayload::Data(d) => labstor_ipc::default_pool()
-                .alloc_from(&d)
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into()))?,
-            other => return Err(Self::fs_err(other)),
-        };
-        self.fds.get_mut(&fd).expect("entry checked").pos = pos + h.len() as u64;
-        Ok(h)
+        Ok(resp)
+    }
+
+    /// Move the fd's position forward by `n` bytes.
+    fn advance(&mut self, fd: i32, n: usize) {
+        if let Some(e) = self.fds.get_mut(&fd) {
+            e.pos += n as u64;
+        }
     }
 
     /// Pushdown read at the fd's position (pread-style: the position
@@ -310,7 +281,6 @@ impl GenericFs {
                 .map(FilteredRead::Agg)
                 .ok_or_else(|| GenericFsError::Fs("malformed pushdown aggregate".into())),
             RespPayload::DataBuf(h) => Ok(FilteredRead::Buf(h)),
-            RespPayload::Data(d) => Ok(FilteredRead::Inline(d)),
             other => Err(Self::fs_err(other)),
         }
     }
@@ -540,16 +510,12 @@ impl GenericKvs {
         self.client.resolve(key)
     }
 
-    /// Store a value. One request, one round trip — the paper's point.
+    /// Store a value: the client edge's one counted copy in (see
+    /// [`Client::copy_in`]), then [`GenericKvs::put_buf`]. One request,
+    /// one round trip — the paper's point.
     pub fn put(&mut self, key: &str, value: Vec<u8>) -> Result<usize, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Put { key: rel, value }))?;
-        match resp {
-            RespPayload::Len(n) => Ok(n),
-            other => Err(GenericFs::fs_err(other)),
-        }
+        let buf = self.client.copy_in(&value);
+        self.put_buf(key, buf)
     }
 
     /// Zero-copy put: the caller filled a pool buffer in place and the
@@ -562,50 +528,41 @@ impl GenericKvs {
         let (stack, rel) = self.route(key)?;
         let (resp, _) = self
             .client
-            .execute(&stack, Payload::Kvs(KvsOp::PutBuf { key: rel, buf }))?;
+            .execute(&stack, Payload::Kvs(KvsOp::Put { key: rel, buf }))?;
         match resp {
             RespPayload::Len(n) => Ok(n),
             other => Err(GenericFs::fs_err(other)),
         }
     }
 
-    /// Fetch a value.
-    ///
-    /// Delegates to the zero-copy response path plus one copy-out:
-    /// small values ride inline in the envelope (zero counted copies),
-    /// larger ones arrive as a refcounted handle and pay exactly the
-    /// one client-side copy-out an owned-`Vec` API requires.
+    /// Fetch a value: the handle path of [`GenericKvs::get_buf`] plus the
+    /// client edge's one counted copy out (see [`Client::copy_out`]).
+    /// Values of ≤ 64 B ride inline in the envelope and count no copy.
     pub fn get(&mut self, key: &str) -> Result<Vec<u8>, GenericFsError> {
-        let (stack, rel) = self.route(key)?;
-        let (resp, _) = self
-            .client
-            .execute(&stack, Payload::Kvs(KvsOp::Get { key: rel }))?;
-        match resp {
+        match self.get_resp(key)? {
             RespPayload::Inline(d) => Ok(d.to_vec()), // copy-ok: inline envelope copy-out, uncounted by design
-            RespPayload::Data(d) => Ok(d),
-            RespPayload::DataBuf(h) => Ok(h.to_vec()), // copy-ok: owned-Vec API; to_vec self-counts
+            RespPayload::DataBuf(h) => Ok(self.client.copy_out(&h)),
             other => Err(GenericFs::fs_err(other)),
         }
     }
 
-    /// Zero-copy fetch: single-block values arrive as a refcounted view
-    /// of the driver's DMA buffer. Inline and legacy `Vec` responses are
-    /// pooled (one counted copy) so the return type stays uniform.
+    /// Zero-copy fetch: values arrive as a refcounted view of the
+    /// driver's DMA buffer. An inline value is moved into a buffer (one
+    /// counted copy) so the return type stays uniform.
     pub fn get_buf(&mut self, key: &str) -> Result<labstor_ipc::BufHandle, GenericFsError> {
+        match self.get_resp(key)? {
+            RespPayload::DataBuf(h) => Ok(h),
+            RespPayload::Inline(d) => Ok(labstor_ipc::default_pool().payload_from(d.as_slice())),
+            other => Err(GenericFs::fs_err(other)),
+        }
+    }
+
+    fn get_resp(&mut self, key: &str) -> Result<RespPayload, GenericFsError> {
         let (stack, rel) = self.route(key)?;
         let (resp, _) = self
             .client
             .execute(&stack, Payload::Kvs(KvsOp::Get { key: rel }))?;
-        match resp {
-            RespPayload::DataBuf(h) => Ok(h),
-            RespPayload::Inline(d) => labstor_ipc::default_pool()
-                .alloc_from(d.as_slice())
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into())),
-            RespPayload::Data(d) => labstor_ipc::default_pool()
-                .alloc_from(&d)
-                .ok_or_else(|| GenericFsError::Fs("buffer pool exhausted".into())),
-            other => Err(GenericFs::fs_err(other)),
-        }
+        Ok(resp)
     }
 
     /// Pushdown point-query: fetch `key`'s value only if the verified
@@ -624,8 +581,7 @@ impl GenericKvs {
         match resp {
             RespPayload::Ok => Ok(None),
             RespPayload::Inline(d) => Ok(Some(d.to_vec())), // copy-ok: inline envelope copy-out, uncounted by design
-            RespPayload::Data(d) => Ok(Some(d)),
-            RespPayload::DataBuf(h) => Ok(Some(h.to_vec())), // copy-ok: owned-Vec API; to_vec self-counts
+            RespPayload::DataBuf(h) => Ok(Some(self.client.copy_out(&h))),
             other => Err(GenericFs::fs_err(other)),
         }
     }

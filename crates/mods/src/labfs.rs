@@ -33,6 +33,7 @@ use labstor_core::{
     BlockOp, FileStat, FsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload,
     StackEnv,
 };
+use labstor_ipc::{BufHandle, InlineData};
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
 
@@ -371,6 +372,15 @@ impl BlockAllocator {
 // ---------------------------------------------------------------------
 // LabFS
 // ---------------------------------------------------------------------
+
+/// A read result: ≤ 64 B rides by value in the envelope (no handle round
+/// trip), anything larger as the handle.
+pub(crate) fn small_inline(h: BufHandle) -> RespPayload {
+    match InlineData::from_slice(h.as_slice()) {
+        Some(d) => RespPayload::Inline(d),
+        None => RespPayload::DataBuf(h),
+    }
+}
 
 struct FsNode {
     ino: u64,
@@ -736,9 +746,8 @@ impl LabFs {
     }
 
     /// Map `[offset, offset+len)` of `ino` to device blocks, allocating
-    /// and logging as needed (the metadata half shared by the copying and
-    /// zero-copy write paths). Returns the (page, block) extents and the
-    /// set of freshly mapped pages.
+    /// and logging as needed (the metadata half of a write). Returns the
+    /// (page, block) extents and the set of freshly mapped pages.
     #[allow(clippy::type_complexity)]
     fn map_range(
         &self,
@@ -805,178 +814,6 @@ impl LabFs {
         Ok((extents, fresh.iter().map(|&(pg, _)| pg).collect()))
     }
 
-    fn op_write(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        data: &[u8],
-    ) -> RespPayload {
-        // Map every touched page to a block, allocating as needed.
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (extents, fresh_pages) = match self.map_range(ctx, req, ino, offset, data.len()) {
-            Ok(v) => v,
-            Err(e) => return e,
-        };
-        // Emit block writes downstream. Partially-covered pages that were
-        // already mapped (and not freshly allocated) need read-modify-write
-        // so neighbouring bytes survive; full pages and fresh pages are
-        // written directly, coalescing contiguous full blocks.
-        let block_write = |this: &Self,
-                           ctx: &mut Ctx,
-                           env: &StackEnv<'_>,
-                           lba: u64,
-                           payload: Vec<u8>|
-         -> RespPayload {
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::Write { lba, data: payload }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            fwd.qid_hint = req.qid_hint;
-            this.fwd(ctx, env, fwd)
-        };
-        let mut i = 0usize;
-        while i < extents.len() {
-            let (page, block) = extents[i];
-            let pg_start = page * FS_BLOCK as u64;
-            let cover_from = pg_start.max(offset);
-            let cover_to = (pg_start + FS_BLOCK as u64).min(offset + data.len() as u64);
-            let full = cover_from == pg_start && cover_to == pg_start + FS_BLOCK as u64;
-            if !full && !fresh_pages.contains(&page) {
-                // Partial overwrite of an existing block: read-modify-write.
-                let mut rd = Request::new(
-                    req.id,
-                    req.stack,
-                    Payload::Block(BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
-                    }),
-                    req.creds,
-                );
-                rd.vertex = env.vertex;
-                rd.core = req.core;
-                rd.qid_hint = req.qid_hint;
-                let mut payload = match self.fwd(ctx, env, rd) {
-                    RespPayload::Data(d) => d,
-                    other => return other,
-                };
-                payload.resize(FS_BLOCK, 0);
-                let dst = (cover_from - pg_start) as usize;
-                let src = (cover_from - offset) as usize;
-                let n = (cover_to - cover_from) as usize;
-                payload[dst..dst + n].copy_from_slice(&data[src..src + n]);
-                let r = block_write(self, ctx, env, block * BLOCK_SECTORS, payload);
-                if !r.is_ok() {
-                    return r;
-                }
-                i += 1;
-                continue;
-            }
-            // Coalesce a run of contiguous blocks that are full or fresh.
-            let mut j = i;
-            while j + 1 < extents.len() && extents[j + 1].1 == extents[j].1 + 1 {
-                let (npage, _) = extents[j + 1];
-                let n_start = npage * FS_BLOCK as u64;
-                let n_end = n_start + FS_BLOCK as u64;
-                let n_full = offset <= n_start && n_end <= offset + data.len() as u64;
-                if !n_full && !fresh_pages.contains(&npage) {
-                    break;
-                }
-                j += 1;
-            }
-            let run_pages = (j - i + 1) as u64;
-            let run_start = (page * FS_BLOCK as u64).max(offset);
-            let run_end = ((page + run_pages) * FS_BLOCK as u64).min(offset + data.len() as u64);
-            let mut payload = vec![0u8; (run_pages as usize) * FS_BLOCK];
-            let src_from = (run_start - offset) as usize;
-            let src_to = (run_end - offset) as usize;
-            let dst_from = (run_start - pg_start) as usize;
-            payload[dst_from..dst_from + (src_to - src_from)]
-                .copy_from_slice(&data[src_from..src_to]);
-            let r = block_write(self, ctx, env, block * BLOCK_SECTORS, payload);
-            if !r.is_ok() {
-                return r;
-            }
-            i = j + 1;
-        }
-        RespPayload::Len(data.len())
-    }
-
-    fn op_read(
-        &self,
-        ctx: &mut Ctx,
-        env: &StackEnv<'_>,
-        req: &Request,
-        ino: u64,
-        offset: u64,
-        len: usize,
-    ) -> RespPayload {
-        ctx.advance(META_CPU_NS); // inode + mapping lookup
-        let (size, mappings): (u64, Vec<Option<u64>>) = {
-            let shard = self.node_shard(ino).read();
-            let Some(node) = shard.get(&ino) else {
-                return RespPayload::Err(format!("no inode {ino}"));
-            };
-            if node.is_dir {
-                return RespPayload::Err("is a directory".into());
-            }
-            let first_pg = offset / FS_BLOCK as u64;
-            let last_pg = (offset + len as u64).div_ceil(FS_BLOCK as u64);
-            (
-                node.size,
-                (first_pg..last_pg)
-                    .map(|pg| node.blocks.get(&pg).copied())
-                    .collect(),
-            )
-        };
-        if offset >= size {
-            return RespPayload::Data(Vec::new());
-        }
-        let n = len.min((size - offset) as usize);
-        let first_pg = offset / FS_BLOCK as u64;
-        let mut out = vec![0u8; n];
-        for (idx, mapping) in mappings.iter().enumerate() {
-            let pg = first_pg + idx as u64;
-            let pg_start = pg * FS_BLOCK as u64;
-            let copy_from = pg_start.max(offset);
-            let copy_to = (pg_start + FS_BLOCK as u64).min(offset + n as u64);
-            if copy_from >= copy_to {
-                continue;
-            }
-            if let Some(block) = mapping {
-                let mut fwd = Request::new(
-                    req.id,
-                    req.stack,
-                    Payload::Block(BlockOp::Read {
-                        lba: block * BLOCK_SECTORS,
-                        len: FS_BLOCK,
-                    }),
-                    req.creds,
-                );
-                fwd.vertex = env.vertex;
-                fwd.core = req.core;
-                fwd.qid_hint = req.qid_hint;
-                match self.fwd(ctx, env, fwd) {
-                    RespPayload::Data(block_data) => {
-                        let src = (copy_from - pg_start) as usize;
-                        let dst = (copy_from - offset) as usize;
-                        let cnt = (copy_to - copy_from) as usize;
-                        out[dst..dst + cnt].copy_from_slice(&block_data[src..src + cnt]);
-                    }
-                    other => return other,
-                }
-            }
-            // Unmapped pages are holes: already zero.
-        }
-        RespPayload::Data(out)
-    }
-
     /// Forward one block op downstream with the request's routing intact.
     fn fwd_block(
         &self,
@@ -985,19 +822,16 @@ impl LabFs {
         req: &Request,
         op: BlockOp,
     ) -> RespPayload {
-        let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-        fwd.vertex = env.vertex;
-        fwd.core = req.core;
-        fwd.qid_hint = req.qid_hint;
-        self.fwd(ctx, env, fwd)
+        self.fwd(ctx, env, req.derive(Payload::Block(op)))
     }
 
-    /// Zero-copy write: fully covered pages are forwarded as `WriteBuf`
-    /// slices of the caller's pool buffer (refcount bumps — no memcpy all
-    /// the way to the driver, which DMAs from the shared buffer). Partial
-    /// pages fall back to the copying path: fresh ones are zero-padded,
-    /// existing ones read-modify-write; both copies are counted.
-    fn op_write_buf(
+    /// Write: fully covered pages are forwarded as slices of the caller's
+    /// payload buffer (refcount bumps — no memcpy all the way to the
+    /// driver, which DMAs from the shared buffer), contiguous blocks
+    /// coalesced into one slice. A partial page is patched into a fresh
+    /// block buffer: zero-padded when the page is fresh, read-modify-write
+    /// when it exists; both copies are counted.
+    fn op_write(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
@@ -1039,7 +873,7 @@ impl LabFs {
                     ctx,
                     env,
                     req,
-                    BlockOp::WriteBuf {
+                    BlockOp::Write {
                         lba: block * BLOCK_SECTORS,
                         buf: slice,
                     },
@@ -1050,15 +884,15 @@ impl LabFs {
                 i = j + 1;
                 continue;
             }
-            // Partial page: copying fallback.
+            // Partial page: patch it into a fresh block buffer.
             let dst = (cover_from - pg_start) as usize;
             let src = (cover_from - offset) as usize;
             let cnt = (cover_to - cover_from) as usize;
-            let mut payload = if fresh_pages.contains(&page) {
-                vec![0u8; FS_BLOCK] // fresh block: pad with zeroes
+            let base = if fresh_pages.contains(&page) {
+                None
             } else {
                 // Read-modify-write so neighbouring bytes survive.
-                let mut p = match self.fwd_block(
+                match self.fwd_block(
                     ctx,
                     env,
                     req,
@@ -1067,22 +901,27 @@ impl LabFs {
                         len: FS_BLOCK,
                     },
                 ) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(), // copy-ok: RMW needs owned bytes; to_vec self-counts
+                    RespPayload::DataBuf(h) => Some(h),
                     other => return other,
-                };
-                p.resize(FS_BLOCK, 0);
-                p
+                }
             };
-            labstor_ipc::note_payload_copy(cnt);
-            payload[dst..dst + cnt].copy_from_slice(&buf.as_slice()[src..src + cnt]); // copy-ok: partial-page patch; counted above
+            let mut patched = labstor_ipc::default_pool().alloc_payload(FS_BLOCK);
+            patched.write_with(|b| {
+                if let Some(h) = &base {
+                    let keep = h.len().min(FS_BLOCK);
+                    labstor_ipc::note_payload_copy(keep);
+                    b[..keep].copy_from_slice(&h.as_slice()[..keep]);
+                }
+                labstor_ipc::note_payload_copy(cnt);
+                b[dst..dst + cnt].copy_from_slice(&buf.as_slice()[src..src + cnt]);
+            });
             let r = self.fwd_block(
                 ctx,
                 env,
                 req,
                 BlockOp::Write {
                     lba: block * BLOCK_SECTORS,
-                    data: payload,
+                    buf: patched,
                 },
             );
             if !r.is_ok() {
@@ -1093,12 +932,12 @@ impl LabFs {
         RespPayload::Len(data_len)
     }
 
-    /// Zero-copy read: a read confined to one page forwards `ReadBuf` and
-    /// answers with a slice of the returned handle — a cache hit
-    /// downstream is refcount bumps end to end. Multi-page reads assemble
-    /// into one pool buffer (each block lands with one counted copy),
-    /// falling back to the legacy copying path when the pool is dry.
-    fn op_read_buf(
+    /// Read: a read confined to one page forwards a block read and answers
+    /// with a slice of the returned handle — a cache hit downstream is
+    /// refcount bumps end to end — or, for ≤ 64 B, inline. Multi-page
+    /// reads assemble into one payload buffer (each block lands with one
+    /// counted copy).
+    fn op_read(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
@@ -1125,72 +964,37 @@ impl LabFs {
                     .collect(),
             )
         };
-        if offset >= size {
-            return RespPayload::Data(Vec::new());
+        if offset >= size || len == 0 {
+            return RespPayload::Inline(InlineData::EMPTY);
         }
         let n = len.min((size - offset) as usize);
         let first_pg = offset / FS_BLOCK as u64;
         let single_page = (offset + n as u64 - 1) / FS_BLOCK as u64 == first_pg;
         if single_page {
-            let pg_start = first_pg * FS_BLOCK as u64;
             let Some(Some(block)) = mappings.first() else {
                 // Hole: hand back zeroes without touching the stack.
-                // Small holes ride inline in the envelope.
-                if n <= labstor_ipc::INLINE_MAX {
-                    if let Some(d) = labstor_ipc::InlineData::from_slice(&vec![0u8; n]) {
-                        return RespPayload::Inline(d);
-                    }
-                }
-                return match labstor_ipc::default_pool().alloc(n) {
-                    Some(mut h) => {
-                        h.write_with(|b| b.fill(0));
-                        RespPayload::DataBuf(h)
-                    }
-                    None => RespPayload::Data(vec![0u8; n]),
-                };
+                return small_inline(labstor_ipc::default_pool().alloc_payload(n));
             };
             let resp = self.fwd_block(
                 ctx,
                 env,
                 req,
-                BlockOp::ReadBuf {
+                BlockOp::Read {
                     lba: block * BLOCK_SECTORS,
                     len: FS_BLOCK,
                 },
             );
-            let src = (offset - pg_start) as usize;
-            return match resp {
-                RespPayload::DataBuf(h) => {
-                    // Small results skip the handle round trip and ride
-                    // by value in the envelope — the client-side copy-out
-                    // this replaces is the counted legacy copy.
-                    if let Some(win) = h.as_slice().get(src..src + n) {
-                        if let Some(d) = labstor_ipc::InlineData::from_slice(win) {
-                            return RespPayload::Inline(d);
-                        }
-                    }
-                    // The zero-copy path: slice the cached/DMA'd block.
-                    match h.slice(src, n) {
-                        Some(s) => RespPayload::DataBuf(s),
-                        None => RespPayload::Err("short block read".into()),
-                    }
-                }
-                RespPayload::Data(d) if d.len() >= src + n => {
-                    if let Some(inl) = labstor_ipc::InlineData::from_slice(&d[src..src + n]) {
-                        return RespPayload::Inline(inl);
-                    }
-                    labstor_ipc::note_payload_copy(n);
-                    RespPayload::Data(d[src..src + n].to_vec()) // copy-ok: legacy downstream answered with owned bytes; counted above
-                }
-                RespPayload::Data(_) => RespPayload::Err("short block read".into()),
-                other => other,
+            let RespPayload::DataBuf(h) = resp else {
+                return resp;
+            };
+            let src = (offset - first_pg * FS_BLOCK as u64) as usize;
+            return match h.slice(src, n) {
+                Some(win) => small_inline(win),
+                None => RespPayload::Err("short block read".into()),
             };
         }
-        // Multi-page: assemble into one pool buffer.
-        let Some(mut out) = labstor_ipc::default_pool().alloc(n) else {
-            return self.op_read(ctx, env, req, ino, offset, len);
-        };
-        out.write_with(|b| b.fill(0));
+        // Multi-page: assemble into one payload buffer.
+        let mut out = labstor_ipc::default_pool().alloc_payload(n);
         for (idx, mapping) in mappings.iter().enumerate() {
             let pg = first_pg + idx as u64;
             let pg_start = pg * FS_BLOCK as u64;
@@ -1206,35 +1010,31 @@ impl LabFs {
                 ctx,
                 env,
                 req,
-                BlockOp::ReadBuf {
+                BlockOp::Read {
                     lba: block * BLOCK_SECTORS,
                     len: FS_BLOCK,
                 },
             );
+            let RespPayload::DataBuf(h) = resp else {
+                return resp;
+            };
             let src = (copy_from - pg_start) as usize;
             let dst = (copy_from - offset) as usize;
             let cnt = (copy_to - copy_from) as usize;
-            let block_bytes = match &resp {
-                RespPayload::DataBuf(h) => h.as_slice(),
-                RespPayload::Data(d) => d.as_slice(),
-                _ => return resp,
-            };
-            if block_bytes.len() < src + cnt {
+            let Some(block_bytes) = h.as_slice().get(src..src + cnt) else {
                 return RespPayload::Err("short block read".into());
-            }
+            };
             labstor_ipc::note_payload_copy(cnt);
-            // copy-ok: multi-page assembly into the result buffer; counted above
-            out.write_with(|b| b[dst..dst + cnt].copy_from_slice(&block_bytes[src..src + cnt]));
+            out.write_with(|b| b[dst..dst + cnt].copy_from_slice(block_bytes));
         }
         RespPayload::DataBuf(out)
     }
 
     /// Pushdown read: run a verified program over the file range
     /// in-stack and ship back only the result. Every page is scanned in
-    /// place — cache hits stay refcounted handle slices, legacy `Data`
-    /// answers are scanned where they sit — so the hit path counts
-    /// **zero** payload copies. Fuel is metered per instruction across
-    /// the whole range and billed to the requesting tenant afterwards.
+    /// place through its handle, so the hit path counts **zero** payload
+    /// copies. Fuel is metered per instruction across the whole range and
+    /// billed to the requesting tenant afterwards.
     #[allow(clippy::too_many_arguments)]
     fn op_read_filtered(
         &self,
@@ -1299,30 +1099,27 @@ impl LabFs {
             let base_index = (win_from - offset) / rlen as u64;
             // Holes read as zeroes; scan the shared zero page so hole
             // semantics match a plain read without materializing pages.
-            let hole_resp;
+            let block_resp;
             let window: &[u8] = match mapping {
                 None => &ZERO_PAGE[src..src + cnt],
                 Some(block) => {
-                    hole_resp = self.fwd_block(
+                    block_resp = self.fwd_block(
                         ctx,
                         env,
                         req,
-                        BlockOp::ReadBuf {
+                        BlockOp::Read {
                             lba: block * BLOCK_SECTORS,
                             len: FS_BLOCK,
                         },
                     );
-                    match &hole_resp {
-                        // The pushdown payoff: scan the cached/DMA'd
-                        // block in place through the handle — no copy.
-                        RespPayload::DataBuf(h) if h.len() >= src + cnt => {
-                            &h.as_slice()[src..src + cnt]
-                        }
-                        RespPayload::Data(d) if d.len() >= src + cnt => &d[src..src + cnt],
-                        RespPayload::DataBuf(_) | RespPayload::Data(_) => {
-                            return RespPayload::Err("short block read".into())
-                        }
-                        _ => return hole_resp.clone(),
+                    // The pushdown payoff: scan the cached/DMA'd block in
+                    // place through the handle — no copy.
+                    match &block_resp {
+                        RespPayload::DataBuf(h) => match h.as_slice().get(src..src + cnt) {
+                            Some(w) => w,
+                            None => return RespPayload::Err("short block read".into()),
+                        },
+                        _ => return block_resp.clone(),
                     }
                 }
             };
@@ -1330,9 +1127,8 @@ impl LabFs {
             let scan_result = scan(prog, window, base_index, &mut fuel, &mut out);
             if prog.action() == Action::Select {
                 for &hit in &out.hits[before_hits..] {
-                    // copy-ok: materializing the (rare) matching records is
-                    // the result, not a payload move; the pool boundary
-                    // below self-counts if it leaves inline range.
+                    // Materializing the (rare) matching records is the
+                    // result, not a payload move.
                     matched.extend_from_slice(&window[hit..hit + rlen]);
                 }
             }
@@ -1360,17 +1156,14 @@ impl LabFs {
                     agg: out.agg,
                     fuel_used: used,
                 };
-                match labstor_ipc::InlineData::from_slice(&reply.encode()) {
+                match InlineData::from_slice(&reply.encode()) {
                     Some(d) => RespPayload::Inline(d),
                     None => RespPayload::Err("pushdown: aggregate too large".into()),
                 }
             }
-            Action::Select => match labstor_ipc::InlineData::from_slice(&matched) {
+            Action::Select => match InlineData::from_slice(&matched) {
                 Some(d) => RespPayload::Inline(d),
-                None => match labstor_ipc::default_pool().alloc_from(&matched) {
-                    Some(h) => RespPayload::DataBuf(h),
-                    None => RespPayload::Data(matched),
-                },
+                None => RespPayload::DataBuf(BufHandle::from_vec(matched)),
             },
         }
     }
@@ -1415,17 +1208,11 @@ impl LabMod for LabFs {
                     None => RespPayload::Err(format!("{path}: not found")),
                 }
             }
-            Payload::Fs(FsOp::Write { ino, offset, data }) => {
-                self.op_write(ctx, env, &req, *ino, *offset, data)
-            }
             Payload::Fs(FsOp::WriteBuf { ino, offset, buf }) => {
-                self.op_write_buf(ctx, env, &req, *ino, *offset, buf)
+                self.op_write(ctx, env, &req, *ino, *offset, buf)
             }
             Payload::Fs(FsOp::Read { ino, offset, len }) => {
                 self.op_read(ctx, env, &req, *ino, *offset, *len)
-            }
-            Payload::Fs(FsOp::ReadBuf { ino, offset, len }) => {
-                self.op_read_buf(ctx, env, &req, *ino, *offset, *len)
             }
             Payload::Fs(FsOp::ReadFiltered {
                 ino,
@@ -1526,11 +1313,7 @@ impl LabMod for LabFs {
                 if let Err(e) = self.flush_logs(ctx) {
                     return RespPayload::Err(e);
                 }
-                let mut fwd =
-                    Request::new(req.id, req.stack, Payload::Block(BlockOp::Flush), req.creds);
-                fwd.vertex = env.vertex;
-                fwd.core = req.core;
-                self.fwd(ctx, env, fwd)
+                self.fwd_block(ctx, env, &req, BlockOp::Flush)
             }
             // Pass non-FS payloads through (e.g. a barrier travelling the
             // stack).
@@ -1544,11 +1327,9 @@ impl LabMod for LabFs {
 
     fn est_processing_time(&self, req: &Request) -> u64 {
         self.perf.est_ns(match &req.payload {
-            Payload::Fs(FsOp::Write { data, .. }) => 2_000 + data.len() as u64,
-            Payload::Fs(FsOp::WriteBuf { buf, .. }) => 2_000 + buf.len() as u64,
-            Payload::Fs(
-                FsOp::Read { len, .. } | FsOp::ReadBuf { len, .. } | FsOp::ReadFiltered { len, .. },
-            ) => 2_000 + *len as u64,
+            Payload::Fs(FsOp::WriteBuf { .. } | FsOp::Read { .. } | FsOp::ReadFiltered { .. }) => {
+                2_000 + req.payload_bytes() as u64
+            }
             _ => META_CPU_NS + LOG_APPEND_NS,
         })
     }
@@ -1719,10 +1500,10 @@ mod tests {
         ));
         let data: Vec<u8> = (0..10_000).map(|i| (i % 247) as u8).collect();
         let w = h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -1735,7 +1516,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert_eq!(r.data_bytes(), Some(&data[..]));
     }
 
     #[test]
@@ -1751,10 +1532,10 @@ mod tests {
             &mut ctx,
         ));
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: vec![1u8; 100],
+                buf: BufHandle::from_vec(vec![1u8; 100]),
             }),
             &mut ctx,
         );
@@ -1881,10 +1662,10 @@ mod tests {
         ));
         // Write page 2 only.
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 2 * FS_BLOCK as u64,
-                data: vec![7u8; FS_BLOCK],
+                buf: BufHandle::from_vec(vec![7u8; FS_BLOCK]),
             }),
             &mut ctx,
         );
@@ -1896,7 +1677,9 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.iter().all(|&b| b == 0)));
+        assert!(
+            matches!(r.data_bytes(), Some(d) if d.len() == FS_BLOCK && d.iter().all(|&b| b == 0))
+        );
     }
 
     #[test]
@@ -1911,10 +1694,10 @@ mod tests {
             &mut ctx,
         ));
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: vec![1u8; 8192],
+                buf: BufHandle::from_vec(vec![1u8; 8192]),
             }),
             &mut ctx,
         );
@@ -1926,7 +1709,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.len() == 500 && d.iter().all(|&b| b == 1)));
+        assert!(matches!(r.data_bytes(), Some(d) if d.len() == 500 && d.iter().all(|&b| b == 1)));
     }
 
     #[test]
@@ -1940,7 +1723,7 @@ mod tests {
             }),
             &mut ctx,
         ));
-        let mut buf = labstor_ipc::default_pool().alloc(2 * FS_BLOCK).unwrap();
+        let mut buf = labstor_ipc::default_pool().alloc_payload(2 * FS_BLOCK);
         buf.write_with(|b| {
             for (i, x) in b.iter_mut().enumerate() {
                 *x = (i % 249) as u8;
@@ -1956,9 +1739,9 @@ mod tests {
             &mut ctx,
         );
         assert!(matches!(w, RespPayload::Len(n) if n == 2 * FS_BLOCK));
-        // A single-page read answers with a refcounted DataBuf slice.
+        // A single-page read answers with a refcounted slice.
         let r = h.exec(
-            Payload::Fs(FsOp::ReadBuf {
+            Payload::Fs(FsOp::Read {
                 ino,
                 offset: 0,
                 len: FS_BLOCK,
@@ -1971,19 +1754,14 @@ mod tests {
         }
         // An unaligned multi-page read assembles byte-identically.
         let r = h.exec(
-            Payload::Fs(FsOp::ReadBuf {
+            Payload::Fs(FsOp::Read {
                 ino,
                 offset: 100,
                 len: FS_BLOCK + 500,
             }),
             &mut ctx,
         );
-        let got = match &r {
-            RespPayload::DataBuf(h2) => h2.as_slice().to_vec(),
-            RespPayload::Data(d) => d.clone(),
-            other => panic!("expected data, got {other:?}"),
-        };
-        assert_eq!(&got[..], &expect[100..100 + FS_BLOCK + 500]);
+        assert_eq!(r.data_bytes(), Some(&expect[100..100 + FS_BLOCK + 500]));
     }
 
     #[test]
@@ -1999,10 +1777,10 @@ mod tests {
         ));
         let data: Vec<u8> = (0..FS_BLOCK * 2).map(|i| (i % 251) as u8).collect();
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -2025,8 +1803,9 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(
-            matches!(r, RespPayload::Data(d) if d == data),
+        assert_eq!(
+            r.data_bytes(),
+            Some(&data[..]),
             "data blocks survive via replayed mappings"
         );
     }
@@ -2201,18 +1980,18 @@ mod tests {
             &mut ctx,
         ));
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: vec![0u8; 10],
+                buf: BufHandle::from_vec(vec![0u8; 10]),
             }),
             &mut ctx,
         );
         h.exec(
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset: 0,
-                data: vec![0u8; 10],
+                buf: BufHandle::from_vec(vec![0u8; 10]),
             }),
             &mut ctx,
         );

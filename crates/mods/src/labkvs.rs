@@ -14,13 +14,14 @@ use parking_lot::{Mutex, RwLock};
 use labstor_core::{
     BlockOp, KvsOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::{BufHandle, InlineData};
 use labstor_sim::{BlockDevice, Ctx, SimDevice};
 use labstor_telemetry::PerfCounters;
 
 use crate::devices::{device_param, DeviceRegistry};
 use crate::flush::{FlushDaemon, FLUSH_KICK_BYTES};
 use crate::journal::{self, RepairReport};
-use crate::labfs::BlockAllocator;
+use crate::labfs::{small_inline, BlockAllocator};
 
 const KV_BLOCK: usize = 4096;
 const BLOCK_SECTORS: u64 = (KV_BLOCK / labstor_sim::SECTOR_SIZE) as u64;
@@ -345,16 +346,16 @@ impl LabKvs {
             .insert(key.to_string(), ValueLoc { len, blocks });
     }
 
-    /// Zero-copy put: full blocks of the caller's pool buffer travel
-    /// downstream as refcounted [`labstor_ipc::BufHandle`] slices; only
-    /// the zero-padded tail block is materialized as a `Vec`.
-    fn do_put_buf(
+    /// Put: full blocks of the caller's payload buffer travel downstream
+    /// as refcounted slices; only a partial tail block is copied into a
+    /// zero-padded block buffer.
+    fn do_put(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
         key: &str,
-        buf: &labstor_ipc::BufHandle,
+        buf: &BufHandle,
     ) -> RespPayload {
         ctx.advance(KV_CPU_NS);
         let Some(blocks) = self.alloc_blocks(ctx, req.core, buf.len()) else {
@@ -374,7 +375,7 @@ impl LabKvs {
             let mut copy_from = byte_from;
             if byte_from < zc_to {
                 if let Some(s) = buf.slice(byte_from, zc_to - byte_from) {
-                    ops.push(BlockOp::WriteBuf {
+                    ops.push(BlockOp::Write {
                         lba: blocks[i] * BLOCK_SECTORS,
                         buf: s,
                     });
@@ -382,24 +383,22 @@ impl LabKvs {
                 }
             }
             if copy_from < byte_to {
-                let mut payload = vec![0u8; byte_to - copy_from];
-                let n = buf.len().saturating_sub(copy_from).min(payload.len());
+                let mut tail = labstor_ipc::default_pool().alloc_payload(byte_to - copy_from);
+                let n = buf.len().saturating_sub(copy_from).min(tail.len());
                 labstor_ipc::note_payload_copy(n);
-                // copy-ok: the zero-padded tail block cannot alias the pool buffer; counted via note_payload_copy
-                payload[..n].copy_from_slice(&buf.as_slice()[copy_from..copy_from + n]);
+                tail.write_with(|b| {
+                    b[..n].copy_from_slice(&buf.as_slice()[copy_from..copy_from + n]);
+                });
                 let block = blocks[i] + ((copy_from - byte_from) / KV_BLOCK) as u64;
                 ops.push(BlockOp::Write {
                     lba: block * BLOCK_SECTORS,
-                    data: payload,
+                    buf: tail,
                 });
             }
             i = j + 1;
         }
         for op in ops {
-            let mut fwd = Request::new(req.id, req.stack, Payload::Block(op), req.creds);
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            let r = env.forward(ctx, fwd);
+            let r = env.forward(ctx, req.derive(Payload::Block(op)));
             if !r.is_ok() {
                 return r;
             }
@@ -408,9 +407,24 @@ impl LabKvs {
         RespPayload::Len(buf.len())
     }
 
-    /// Fetch a stored value. Single-block values ride the zero-copy path
-    /// end to end: the driver lands the DMA in a pool buffer and we hand
-    /// back a refcounted slice of it as [`RespPayload::DataBuf`].
+    /// Read one value block downstream.
+    fn read_block(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        block: u64,
+    ) -> RespPayload {
+        let op = BlockOp::Read {
+            lba: block * BLOCK_SECTORS,
+            len: KV_BLOCK,
+        };
+        env.forward(ctx, req.derive(Payload::Block(op)))
+    }
+
+    /// Fetch a stored value. Single-block values are a refcounted slice
+    /// of the driver's DMA buffer (≤ 64 B ride inline instead);
+    /// multi-block values assemble into one payload buffer.
     fn read_value(
         &self,
         ctx: &mut Ctx,
@@ -419,71 +433,31 @@ impl LabKvs {
         loc: &ValueLoc,
     ) -> RespPayload {
         if loc.blocks.len() == 1 && loc.len > 0 {
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::ReadBuf {
-                    lba: loc.blocks[0] * BLOCK_SECTORS,
-                    len: KV_BLOCK,
-                }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            return match env.forward(ctx, fwd) {
-                RespPayload::DataBuf(h) => {
-                    let want = loc.len.min(h.len());
-                    // Small values skip the BufferPool round trip and
-                    // ride by value in the envelope — the client-side
-                    // copy-out this saves is a counted one.
-                    if let Some(d) =
-                        labstor_ipc::InlineData::from_slice(h.as_slice().get(..want).unwrap_or(&[]))
-                    {
-                        return RespPayload::Inline(d);
-                    }
-                    match h.slice(0, want) {
-                        Some(s) => RespPayload::DataBuf(s),
-                        None => RespPayload::Data(h.to_vec()), // copy-ok: unreachable slice failure; to_vec self-counts
-                    }
-                }
-                // copy-ok: legacy Vec from a pool-dry driver; truncation copy counted below
-                RespPayload::Data(d) => {
-                    let want = loc.len.min(d.len());
-                    labstor_ipc::note_payload_copy(want);
-                    RespPayload::Data(d[..want].to_vec()) // copy-ok: counted just above
-                }
-                other => other,
+            let resp = self.read_block(ctx, env, req, loc.blocks[0]);
+            let RespPayload::DataBuf(h) = resp else {
+                return resp;
+            };
+            return match h.slice(0, loc.len.min(h.len())) {
+                Some(value) => small_inline(value),
+                None => RespPayload::Err("short block read".into()),
             };
         }
-        let mut out = Vec::with_capacity(loc.len);
-        for (idx, b) in loc.blocks.iter().enumerate() {
-            let want = (loc.len - idx * KV_BLOCK).min(KV_BLOCK);
-            let mut fwd = Request::new(
-                req.id,
-                req.stack,
-                Payload::Block(BlockOp::Read {
-                    lba: b * BLOCK_SECTORS,
-                    len: KV_BLOCK,
-                }),
-                req.creds,
-            );
-            fwd.vertex = env.vertex;
-            fwd.core = req.core;
-            match env.forward(ctx, fwd) {
-                RespPayload::Data(d) => {
-                    labstor_ipc::note_payload_copy(want);
-                    // copy-ok: multi-block reassembly into one contiguous value; counted just above
-                    out.extend_from_slice(&d[..want]);
-                }
-                RespPayload::DataBuf(h) => {
-                    labstor_ipc::note_payload_copy(want);
-                    // copy-ok: multi-block reassembly into one contiguous value; counted just above
-                    out.extend_from_slice(&h.as_slice()[..want]);
-                }
-                other => return other,
-            }
+        let mut out = labstor_ipc::default_pool().alloc_payload(loc.len);
+        for (idx, &b) in loc.blocks.iter().enumerate() {
+            let from = idx * KV_BLOCK;
+            let want = (loc.len - from).min(KV_BLOCK);
+            let resp = self.read_block(ctx, env, req, b);
+            let RespPayload::DataBuf(h) = resp else {
+                return resp;
+            };
+            let Some(bytes) = h.as_slice().get(..want) else {
+                return RespPayload::Err("short block read".into());
+            };
+            // Multi-block reassembly into one contiguous value.
+            labstor_ipc::note_payload_copy(want);
+            out.write_with(|o| o[from..from + want].copy_from_slice(bytes));
         }
-        RespPayload::Data(out)
+        RespPayload::DataBuf(out)
     }
 
     /// Pushdown point-query with the in-stack resubmission hook: probe
@@ -596,7 +570,7 @@ impl LabKvs {
                     agg: out.agg,
                     fuel_used: used,
                 };
-                match labstor_ipc::InlineData::from_slice(&reply.encode()) {
+                match InlineData::from_slice(&reply.encode()) {
                     Some(d) => RespPayload::Inline(d),
                     None => RespPayload::Err("pushdown: aggregate too large".into()),
                 }
@@ -617,48 +591,7 @@ impl LabMod for LabKvs {
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
         let resp = match &req.payload {
-            Payload::Kvs(KvsOp::Put { key, value }) => {
-                ctx.advance(KV_CPU_NS);
-                let Some(blocks) = self.alloc_blocks(ctx, req.core, value.len()) else {
-                    return RespPayload::Err("no space".into());
-                };
-                // One downstream write per contiguous block run.
-                let mut i = 0usize;
-                while i < blocks.len() {
-                    let mut j = i;
-                    while j + 1 < blocks.len() && blocks[j + 1] == blocks[j] + 1 {
-                        j += 1;
-                    }
-                    let byte_from = i * KV_BLOCK;
-                    let byte_to = ((j + 1) * KV_BLOCK).min(value.len().next_multiple_of(KV_BLOCK));
-                    let mut payload = vec![0u8; byte_to - byte_from];
-                    let copy_to = value.len().min(byte_to) - byte_from.min(value.len());
-                    if byte_from < value.len() {
-                        labstor_ipc::note_payload_copy(copy_to);
-                        // copy-ok: legacy Vec put path; counted just above (PutBuf avoids this)
-                        payload[..copy_to].copy_from_slice(&value[byte_from..byte_from + copy_to]);
-                    }
-                    let mut fwd = Request::new(
-                        req.id,
-                        req.stack,
-                        Payload::Block(BlockOp::Write {
-                            lba: blocks[i] * BLOCK_SECTORS,
-                            data: payload,
-                        }),
-                        req.creds,
-                    );
-                    fwd.vertex = env.vertex;
-                    fwd.core = req.core;
-                    let r = env.forward(ctx, fwd);
-                    if !r.is_ok() {
-                        return r;
-                    }
-                    i = j + 1;
-                }
-                self.commit_put(ctx, req.core, key, value.len(), blocks);
-                RespPayload::Len(value.len())
-            }
-            Payload::Kvs(KvsOp::PutBuf { key, buf }) => self.do_put_buf(ctx, env, &req, key, buf),
+            Payload::Kvs(KvsOp::Put { key, buf }) => self.do_put(ctx, env, &req, key, buf),
             Payload::Kvs(KvsOp::Get { key }) => {
                 ctx.advance(KV_CPU_NS);
                 let loc = self.shard(key).read().get(key).cloned();
@@ -810,7 +743,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "a".into(),
-                value: value.clone(),
+                buf: BufHandle::from_vec(value.clone()),
             }),
             &mut ctx,
         );
@@ -821,7 +754,7 @@ mod tests {
             Payload::Kvs(KvsOp::Get { key: "a".into() }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == value));
+        assert_eq!(r.data_bytes(), Some(&value[..]));
     }
 
     #[test]
@@ -833,7 +766,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "k".into(),
-                value: vec![1u8; 100],
+                buf: BufHandle::from_vec(vec![1u8; 100]),
             }),
             &mut ctx,
         );
@@ -842,7 +775,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "k".into(),
-                value: vec![2u8; 50],
+                buf: BufHandle::from_vec(vec![2u8; 50]),
             }),
             &mut ctx,
         );
@@ -856,15 +789,13 @@ mod tests {
     }
 
     #[test]
-    fn put_buf_roundtrips_with_zero_copy_full_blocks() {
+    fn put_forwards_full_blocks_as_slices() {
         let (mm, stack) = setup();
         let mut ctx = Ctx::new();
         // Not a block multiple: two full blocks ride as refcounted
         // slices, the 777-byte tail is zero-padded and copied.
         let n = KV_BLOCK * 2 + 777;
-        let mut h = labstor_ipc::default_pool()
-            .alloc(n)
-            .expect("pool has a big-enough class");
+        let mut h = labstor_ipc::default_pool().alloc_payload(n);
         h.write_with(|b| {
             for (i, x) in b.iter_mut().enumerate() {
                 *x = (i % 251) as u8;
@@ -874,7 +805,7 @@ mod tests {
         let w = exec(
             &mm,
             &stack,
-            Payload::Kvs(KvsOp::PutBuf {
+            Payload::Kvs(KvsOp::Put {
                 key: "zc".into(),
                 buf: h,
             }),
@@ -891,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn single_block_get_answers_with_pool_buffer() {
+    fn single_block_get_answers_with_a_handle() {
         let (mm, stack) = setup();
         let mut ctx = Ctx::new();
         let value = vec![0x5au8; 500];
@@ -900,7 +831,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "s".into(),
-                value: value.clone(),
+                buf: BufHandle::from_vec(value.clone()),
             }),
             &mut ctx,
         );
@@ -912,7 +843,7 @@ mod tests {
         );
         match r {
             RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), &value[..]),
-            other => panic!("expected a zero-copy DataBuf, got {other:?}"),
+            other => panic!("expected DataBuf, got {other:?}"),
         }
     }
 
@@ -925,7 +856,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "x".into(),
-                value: vec![1],
+                buf: BufHandle::from_vec(vec![1]),
             }),
             &mut ctx,
         );
@@ -961,7 +892,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "empty".into(),
-                value: vec![],
+                buf: BufHandle::from_vec(vec![]),
             }),
             &mut ctx,
         );
@@ -973,7 +904,7 @@ mod tests {
             }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d.is_empty()));
+        assert_eq!(r.data_bytes(), Some(&[][..]));
     }
 
     #[test]
@@ -986,7 +917,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "keep".into(),
-                value: value.clone(),
+                buf: BufHandle::from_vec(value.clone()),
             }),
             &mut ctx,
         );
@@ -995,7 +926,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "drop".into(),
-                value: vec![9u8; 10],
+                buf: BufHandle::from_vec(vec![9u8; 10]),
             }),
             &mut ctx,
         );
@@ -1016,7 +947,7 @@ mod tests {
             Payload::Kvs(KvsOp::Get { key: "keep".into() }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == value));
+        assert_eq!(r.data_bytes(), Some(&value[..]));
     }
 
     #[test]
@@ -1028,7 +959,7 @@ mod tests {
             &stack,
             Payload::Kvs(KvsOp::Put {
                 key: "durable".into(),
-                value: vec![1u8; 64],
+                buf: BufHandle::from_vec(vec![1u8; 64]),
             }),
             &mut ctx,
         );

@@ -1,24 +1,22 @@
 //! The LRU page-cache LabMod (the paper's "page caching (LRU)" mod,
-//! Fig. 4a's 17% stage).
+//! Fig. 4a's stage).
 //!
-//! A userspace block cache: write-through by default (data is copied into
-//! the cache and forwarded to the next stage), optional write-back
-//! (dirty blocks held until flush/eviction). Keys are block LBAs; the
-//! contract is block-aligned requests, which every bundled filesystem
-//! LabMod honors.
+//! A userspace block cache: write-through by default (the block is cached
+//! and forwarded to the next stage), optional write-back (dirty blocks
+//! held until flush/eviction). Keys are block LBAs; the contract is
+//! block-aligned requests, which every bundled filesystem LabMod honors.
 //!
 //! Two perf features ride on top of the classic design:
 //!
-//! * **Zero-copy arms** — `WriteBuf` inserts the pool handle by refcount
-//!   bump, `ReadBuf` hits hand back a [`BufHandle`] slice with no memcpy
-//!   (and no virtual copy charge). Legacy `Write`/`Read` keep the copying
-//!   cost model and are counted via the payload-copy counter.
+//! * **Handles, not copies** — a write inserts refcounted slices of the
+//!   caller's payload buffer, one entry per 4 KiB block, and a read hit
+//!   hands back a [`BufHandle`] slice. No bytes move, so only the lookup
+//!   is charged; the payload copies of a request happen at the client
+//!   edge.
 //! * **Sharding + in-flight miss guard** — the map splits into N
 //!   independently locked shards (`shards` factory param, default 1), and
 //!   a miss claims its lba in an [`InflightSet`] before fetching, so two
 //!   racing misses on the same block fetch it downstream exactly once.
-//!
-//! [`BufHandle`]: labstor_ipc::BufHandle
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,25 +26,21 @@ use parking_lot::Mutex;
 use labstor_core::{
     BlockOp, LabMod, ModType, ModuleManager, Payload, Request, RespPayload, StackEnv,
 };
+use labstor_ipc::BufHandle;
 use labstor_kernel::page_cache::LruMap;
 use labstor_sim::Ctx;
 use labstor_telemetry::PerfCounters;
 
-use crate::cache_common::{shard_of, CacheData, InflightSet};
+use crate::cache_common::{
+    hit_blocks, shard_of, shard_runs, InflightSet, BLOCK_SECTORS, CACHE_BLOCK,
+};
 
 /// Per-block lookup cost (userspace hashmap, cheaper than the kernel's
 /// locked tree).
 const LOOKUP_NS: u64 = 150;
-/// Copy cost per KB into/out of the cache (same memcpy as the kernel's —
-/// the savings come from lock-free access, not magic memory).
-const COPY_NS_PER_KB: u64 = 300;
-
-fn copy_cost(bytes: usize) -> u64 {
-    (bytes as u64 * COPY_NS_PER_KB) / 1024
-}
 
 struct CacheBlock {
-    data: CacheData,
+    buf: BufHandle,
     dirty: bool,
 }
 
@@ -74,7 +68,7 @@ impl LruCacheMod {
     /// LRU maps (capacity divides evenly; eviction is per shard).
     pub fn with_shards(capacity_bytes: usize, write_back: bool, shards: usize) -> Self {
         let shards = shards.max(1);
-        let capacity_blocks = (capacity_bytes / 4096).max(1);
+        let capacity_blocks = (capacity_bytes / CACHE_BLOCK).max(1);
         LruCacheMod {
             shards: (0..shards).map(|_| Mutex::new(LruMap::new())).collect(),
             inflight: InflightSet::new(),
@@ -115,25 +109,24 @@ impl LruCacheMod {
     }
 
     /// Drain all cached blocks oldest-first per shard (cross-policy hot
-    /// swaps pull warm state out with this). Handles move out without a
-    /// copy; legacy vectors move as-is.
-    pub fn drain_blocks(&self) -> Vec<(u64, CacheData)> {
+    /// swaps pull warm state out with this). Handles move out by value.
+    pub fn drain_blocks(&self) -> Vec<(u64, BufHandle)> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let mut cache = shard.lock();
             while let Some((lba, b)) = cache.pop_lru() {
-                out.push((lba, b.data));
+                out.push((lba, b.buf));
             }
         }
         out
     }
 
     /// Evict past capacity; returns dirty victims needing writeback.
-    fn evict(cache: &mut LruMap<u64, CacheBlock>, cap: usize) -> Vec<(u64, CacheData)> {
+    fn evict(cache: &mut LruMap<u64, CacheBlock>, cap: usize) -> Vec<(u64, BufHandle)> {
         let mut out = Vec::new();
         while cache.len() > cap {
             match cache.pop_lru() {
-                Some((lba, b)) if b.dirty => out.push((lba, b.data)),
+                Some((lba, b)) if b.dirty => out.push((lba, b.buf)),
                 Some(_) => {}
                 None => break,
             }
@@ -141,41 +134,20 @@ impl LruCacheMod {
         out
     }
 
-    /// Turn an evicted dirty victim into the downstream write-back
-    /// request: handles flush zero-copy via `WriteBuf`, vectors via the
-    /// legacy `Write` (the vector moves — no extra copy).
-    fn victim_payload(lba: u64, data: CacheData) -> Payload {
-        match data {
-            CacheData::Buf(buf) => Payload::Block(BlockOp::WriteBuf { lba, buf }),
-            CacheData::Vec(data) => Payload::Block(BlockOp::Write { lba, data }),
-        }
-    }
-
-    /// Insert a block, evict, and flush dirty victims downstream.
-    fn insert_and_flush(
+    /// Write `blocks` back downstream, stopping at the first failure.
+    fn write_back_blocks(
         &self,
         ctx: &mut Ctx,
         env: &StackEnv<'_>,
         req: &Request,
-        lba: u64,
-        data: CacheData,
-        dirty: bool,
+        blocks: Vec<(u64, BufHandle)>,
     ) -> Result<(), RespPayload> {
-        let victims = {
-            let mut cache = self.shard(lba).lock();
-            cache.insert(lba, CacheBlock { data, dirty });
-            Self::evict(&mut cache, self.per_shard_blocks)
-        };
-        for (vlba, vdata) in victims {
-            let mut flush = Request::new(
-                req.id,
-                req.stack,
-                Self::victim_payload(vlba, vdata),
-                req.creds,
+        for (lba, buf) in blocks {
+            let r = self.fwd(
+                ctx,
+                env,
+                req.derive(Payload::Block(BlockOp::Write { lba, buf })),
             );
-            flush.vertex = env.vertex;
-            flush.core = req.core;
-            let r = self.fwd(ctx, env, flush);
             if !r.is_ok() {
                 return Err(r);
             }
@@ -183,10 +155,47 @@ impl LruCacheMod {
         Ok(())
     }
 
-    /// The shared read path. `zero_copy` selects the response shape: a
-    /// `ReadBuf` hit on a handle-backed block answers with a refcounted
-    /// `DataBuf` slice (no memcpy, no copy charge); everything else copies
-    /// and is charged + counted.
+    /// Insert `buf` as one entry per block, evict, and flush dirty
+    /// victims downstream.
+    fn insert_and_flush(
+        &self,
+        ctx: &mut Ctx,
+        env: &StackEnv<'_>,
+        req: &Request,
+        lba: u64,
+        buf: &BufHandle,
+        dirty: bool,
+    ) -> Result<(), RespPayload> {
+        let mut victims = Vec::new();
+        // Replaced entries drop after the shard lock is released: the
+        // last slice of an old buffer frees it.
+        let mut replaced = Vec::new();
+        shard_runs(lba, buf, self.shards.len(), |si, run| {
+            let mut cache = self.shards[si].lock();
+            for (blba, slice) in run {
+                replaced.extend(cache.insert(blba, CacheBlock { buf: slice, dirty }));
+            }
+            victims.extend(Self::evict(&mut cache, self.per_shard_blocks));
+        });
+        drop(replaced);
+        self.write_back_blocks(ctx, env, req, victims)
+    }
+
+    /// Mark the dirty blocks among `lbas` clean and return them for
+    /// write-back.
+    fn take_dirty(&self, lbas: impl Iterator<Item = u64>) -> Vec<(u64, BufHandle)> {
+        let mut out = Vec::new();
+        for lba in lbas {
+            if let Some(b) = self.shard(lba).lock().get(&lba).filter(|b| b.dirty) {
+                b.dirty = false;
+                out.push((lba, b.buf.clone()));
+            }
+        }
+        out
+    }
+
+    /// The read path: a hit answers with a refcounted slice of the cached
+    /// block; a miss fetches downstream and caches what comes back.
     fn do_read(
         &self,
         ctx: &mut Ctx,
@@ -194,12 +203,11 @@ impl LruCacheMod {
         req: Request,
         lba: u64,
         len: usize,
-        zero_copy: bool,
     ) -> RespPayload {
         ctx.advance(LOOKUP_NS);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
+        if let Some(h) = self.try_hit(lba, len) {
             self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
+            return RespPayload::DataBuf(h);
         }
         // Miss: claim the lba so concurrent misses on the same block wait
         // here instead of each fetching downstream, then re-check — the
@@ -207,24 +215,24 @@ impl LruCacheMod {
         // code dropped the lock, fetched, and re-locked: the classic
         // double-fetch.)
         let guard = self.inflight.claim(lba);
-        if let Some(resp) = self.try_hit(ctx, lba, len, zero_copy) {
+        if let Some(h) = self.try_hit(lba, len) {
             self.hits.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-            return resp;
+            return RespPayload::DataBuf(h);
         }
         self.misses.fetch_add(1, Ordering::Relaxed); // relaxed-ok: stat counter; readers tolerate lag
-        let resp = self.fwd(ctx, env, req.clone());
-        let entry = match &resp {
-            // Zero-copy downstream: cache the handle by refcount bump.
-            RespPayload::DataBuf(h) => Some(CacheData::Buf(h.clone())),
-            RespPayload::Data(d) => {
-                ctx.advance(copy_cost(d.len()));
-                labstor_ipc::note_payload_copy(d.len());
-                Some(CacheData::Vec(d.clone())) // copy-ok: legacy miss fill copies the fetched block into the cache; counted above
+        if self.write_back && len > CACHE_BLOCK {
+            // A multi-block read misses when its blocks are absent or from
+            // different buffers: write back the dirty ones it covers so
+            // the device answers current.
+            let blocks = (0..len.div_ceil(CACHE_BLOCK) as u64).map(|i| lba + i * BLOCK_SECTORS);
+            let dirty = self.take_dirty(blocks);
+            if let Err(e) = self.write_back_blocks(ctx, env, &req, dirty) {
+                return e;
             }
-            _ => None,
-        };
-        if let Some(data) = entry {
-            if let Err(e) = self.insert_and_flush(ctx, env, &req, lba, data, false) {
+        }
+        let resp = self.fwd(ctx, env, req.clone());
+        if let RespPayload::DataBuf(h) = &resp {
+            if let Err(e) = self.insert_and_flush(ctx, env, &req, lba, h, false) {
                 return e;
             }
         }
@@ -232,27 +240,12 @@ impl LruCacheMod {
         resp
     }
 
-    /// Answer from the cache if the block is resident and long enough.
-    fn try_hit(&self, ctx: &mut Ctx, lba: u64, len: usize, zero_copy: bool) -> Option<RespPayload> {
-        let mut cache = self.shard(lba).lock();
-        let block = cache.get(&lba).filter(|b| b.data.len() >= len)?;
-        if zero_copy {
-            if let CacheData::Buf(h) = &block.data {
-                // The zero-copy hit: a refcount bump, no bytes move.
-                let slice = h.slice(0, len)?;
-                return Some(RespPayload::DataBuf(slice));
-            }
-        }
-        let out = match &block.data {
-            CacheData::Vec(v) => {
-                labstor_ipc::note_payload_copy(len);
-                v[..len].to_vec() // copy-ok: legacy copying hit; counted above and charged below
-            }
-            CacheData::Buf(h) => h.slice(0, len)?.to_vec(), // copy-ok: legacy Read of a handle-backed block; to_vec self-counts
-        };
-        drop(cache);
-        ctx.advance(copy_cost(len));
-        Some(RespPayload::Data(out))
+    /// A view of the cached bytes at `lba` if every block is resident
+    /// (see [`hit_blocks`]): a refcount bump, no bytes move.
+    fn try_hit(&self, lba: u64, len: usize) -> Option<BufHandle> {
+        hit_blocks(lba, len, |blba, want| {
+            self.shard(blba).lock().get(&blba)?.buf.slice(0, want)
+        })
     }
 }
 
@@ -269,73 +262,35 @@ impl LabMod for LruCacheMod {
     fn process(&self, ctx: &mut Ctx, req: Request, env: &StackEnv<'_>) -> RespPayload {
         let before = ctx.busy();
         let resp = match &req.payload {
-            Payload::Block(BlockOp::Write { lba, data }) => {
-                // One copy into the cache page, one into the DMA-safe
-                // buffer handed downstream — "the page cache takes 17% of
-                // time due to data copying" (Fig. 4a).
-                ctx.advance(LOOKUP_NS + 2 * copy_cost(data.len()));
-                labstor_ipc::note_payload_copy(data.len());
-                let lba = *lba;
-                let cached = CacheData::Vec(data.clone()); // copy-ok: legacy write path copies into the cache; counted above
-                let held = data.len();
-                if let Err(e) = self.insert_and_flush(ctx, env, &req, lba, cached, self.write_back)
-                {
-                    return e;
-                }
-                if self.write_back {
-                    RespPayload::Len(held)
-                } else {
-                    self.fwd(ctx, env, req)
-                }
-            }
-            Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
-                // Zero-copy write: the cache keeps a refcount on the pool
-                // buffer — no memcpy, so only the lookup is charged.
+            Payload::Block(BlockOp::Write { lba, buf }) => {
+                // The cache keeps refcounts on the caller's buffer — no
+                // memcpy, so only the lookup is charged.
                 ctx.advance(LOOKUP_NS);
-                let lba = *lba;
-                let cached = CacheData::Buf(buf.clone());
-                let held = buf.len();
-                if let Err(e) = self.insert_and_flush(ctx, env, &req, lba, cached, self.write_back)
-                {
+                if let Err(e) = self.insert_and_flush(ctx, env, &req, *lba, buf, self.write_back) {
                     return e;
                 }
                 if self.write_back {
-                    RespPayload::Len(held)
+                    RespPayload::Len(buf.len())
                 } else {
                     self.fwd(ctx, env, req)
                 }
             }
             Payload::Block(BlockOp::Read { lba, len }) => {
                 let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, false)
-            }
-            Payload::Block(BlockOp::ReadBuf { lba, len }) => {
-                let (lba, len) = (*lba, *len);
-                self.do_read(ctx, env, req, lba, len, true)
+                self.do_read(ctx, env, req, lba, len)
             }
             Payload::Block(BlockOp::Flush) => {
                 // Flush all dirty blocks, then pass the barrier down.
-                let mut dirty: Vec<(u64, CacheData)> = Vec::new();
                 for shard in self.shards.iter() {
-                    let mut cache = shard.lock();
-                    let lbas: Vec<u64> = cache
+                    let lbas: Vec<u64> = shard
+                        .lock()
                         .iter()
                         .filter(|(_, b)| b.dirty)
                         .map(|(lba, _)| *lba)
                         .collect();
-                    for lba in lbas {
-                        if let Some(b) = cache.get(&lba) {
-                            b.dirty = false;
-                            dirty.push((lba, b.data.clone_counted()));
-                        }
-                    }
-                }
-                for (vlba, vdata) in dirty {
-                    let mut w = req.clone();
-                    w.payload = Self::victim_payload(vlba, vdata);
-                    let r = self.fwd(ctx, env, w);
-                    if !r.is_ok() {
-                        return r;
+                    let dirty = self.take_dirty(lbas.into_iter());
+                    if let Err(e) = self.write_back_blocks(ctx, env, &req, dirty) {
+                        return e;
                     }
                 }
                 self.fwd(ctx, env, req)
@@ -348,9 +303,8 @@ impl LabMod for LruCacheMod {
         resp
     }
 
-    fn est_processing_time(&self, req: &Request) -> u64 {
-        self.perf
-            .est_ns(LOOKUP_NS + 2 * copy_cost(req.payload_bytes()))
+    fn est_processing_time(&self, _req: &Request) -> u64 {
+        self.perf.est_ns(LOOKUP_NS)
     }
 
     fn est_total_time(&self) -> u64 {
@@ -362,12 +316,12 @@ impl LabMod for LruCacheMod {
         if let Some(prev) = old.as_any().downcast_ref::<LruCacheMod>() {
             self.perf.absorb(&prev.perf);
             // Drain oldest-first per shard so recency order is preserved
-            // on insert; handles migrate by refcount, vectors move.
+            // on insert; handles migrate by value.
             for (lba, block) in prev.drain_blocks() {
                 self.shard(lba).lock().insert(
                     lba,
                     CacheBlock {
-                        data: block,
+                        buf: block,
                         dirty: false,
                     },
                 );
@@ -433,28 +387,22 @@ mod tests {
         }
         fn process(&self, _ctx: &mut Ctx, req: Request, _env: &StackEnv<'_>) -> RespPayload {
             match req.payload {
-                Payload::Block(BlockOp::Write { lba, data }) => {
-                    self.writes.fetch_add(1, Ordering::Relaxed);
-                    let len = data.len();
-                    self.blocks.lock().insert(lba, data);
-                    RespPayload::Len(len)
-                }
-                Payload::Block(BlockOp::WriteBuf { lba, buf }) => {
+                Payload::Block(BlockOp::Write { lba, buf }) => {
                     self.writes.fetch_add(1, Ordering::Relaxed);
                     let len = buf.len();
-                    self.blocks.lock().insert(lba, buf.to_vec());
+                    self.blocks.lock().insert(lba, buf.as_slice().to_vec());
                     RespPayload::Len(len)
                 }
-                Payload::Block(BlockOp::Read { lba, len })
-                | Payload::Block(BlockOp::ReadBuf { lba, len }) => {
+                Payload::Block(BlockOp::Read { lba, len }) => {
                     self.reads.fetch_add(1, Ordering::Relaxed);
                     if !self.read_stall.is_zero() {
                         std::thread::sleep(self.read_stall);
                     }
-                    match self.blocks.lock().get(&lba) {
-                        Some(d) => RespPayload::Data(d[..len.min(d.len())].to_vec()),
-                        None => RespPayload::Data(vec![0u8; len]),
-                    }
+                    let bytes = match self.blocks.lock().get(&lba) {
+                        Some(d) => d[..len.min(d.len())].to_vec(),
+                        None => vec![0u8; len],
+                    };
+                    RespPayload::DataBuf(BufHandle::from_vec(bytes))
                 }
                 _ => RespPayload::Ok,
             }
@@ -520,7 +468,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 8,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
             &mut ctx,
         );
@@ -531,7 +479,7 @@ mod tests {
             Payload::Block(BlockOp::Read { lba: 8, len: 4096 }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(d) if d == data));
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == data));
         assert_eq!(
             dev.reads.load(Ordering::Relaxed),
             0,
@@ -554,7 +502,7 @@ mod tests {
             Payload::Block(BlockOp::Read { lba: 16, len: 4096 }),
             &mut ctx,
         );
-        assert!(matches!(r, RespPayload::Data(_)));
+        assert!(matches!(r, RespPayload::DataBuf(_)));
         assert_eq!(dev.reads.load(Ordering::Relaxed), 1);
         exec(
             &mm,
@@ -575,7 +523,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![1u8; 4096],
+                buf: BufHandle::from_vec(vec![1u8; 4096]),
             }),
             &mut ctx,
         );
@@ -605,7 +553,7 @@ mod tests {
                 &stack,
                 Payload::Block(BlockOp::Write {
                     lba: i * 8,
-                    data: vec![i as u8; 4096],
+                    buf: BufHandle::from_vec(vec![i as u8; 4096]),
                 }),
                 &mut ctx,
             );
@@ -623,7 +571,7 @@ mod tests {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 8,
-                data: vec![5u8; 4096],
+                buf: BufHandle::from_vec(vec![5u8; 4096]),
             }),
             &mut ctx,
         );
@@ -634,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn writebuf_hit_answers_with_refcounted_slice() {
+    fn write_hit_answers_with_refcounted_slice() {
         let (mm, stack, dev) = setup(serde_json::json!({}));
         let mut ctx = Ctx::new();
         let pool = labstor_ipc::BufferPool::new(labstor_ipc::PoolConfig {
@@ -645,25 +593,100 @@ mod tests {
         exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::WriteBuf { lba: 8, buf }),
+            Payload::Block(BlockOp::Write { lba: 8, buf }),
             &mut ctx,
         );
         assert_eq!(dev.writes.load(Ordering::Relaxed), 1, "write-through");
         let r = exec(
             &mm,
             &stack,
-            Payload::Block(BlockOp::ReadBuf { lba: 8, len: 4096 }),
+            Payload::Block(BlockOp::Read { lba: 8, len: 4096 }),
             &mut ctx,
         );
-        // A `DataBuf` response is structurally zero-copy: the handle is a
-        // refcounted view of the cached block. (Copy-counter deltas are
+        // The hit is structurally zero-copy: the handle is a refcounted
+        // view of the cached block. (Copy-counter deltas are
         // asserted in the dedicated e2e integration test, which owns its
         // process — the global counter races across parallel unit tests.)
         match r {
-            RespPayload::DataBuf(h) => assert_eq!(h.as_slice(), &[7u8; 4096]),
+            RespPayload::DataBuf(h) => {
+                assert_eq!(h.as_slice(), &[7u8; 4096]);
+                assert_eq!(h.region(), 0, "the written pool slot itself");
+            }
             other => panic!("expected DataBuf, got {other:?}"),
         }
         assert_eq!(dev.reads.load(Ordering::Relaxed), 0, "hit");
+    }
+
+    #[test]
+    fn multi_block_write_caches_each_block() {
+        let (mm, stack, dev) = setup(serde_json::json!({}));
+        let mut ctx = Ctx::new();
+        for fill in [1u8, 2] {
+            let mut data = vec![fill; 4 * 4096];
+            data[4096..8192].fill(fill + 10);
+            exec(
+                &mm,
+                &stack,
+                Payload::Block(BlockOp::Write {
+                    lba: 0,
+                    buf: BufHandle::from_vec(data),
+                }),
+                &mut ctx,
+            );
+            let r = exec(
+                &mm,
+                &stack,
+                Payload::Block(BlockOp::Read { lba: 8, len: 4096 }),
+                &mut ctx,
+            );
+            assert!(
+                matches!(&r, RespPayload::DataBuf(h) if h.as_slice() == [fill + 10; 4096]),
+                "block 1 after write {fill}: {r:?}"
+            );
+        }
+        assert_eq!(dev.reads.load(Ordering::Relaxed), 0, "every block hits");
+    }
+
+    #[test]
+    fn write_back_multi_block_read_sees_dirty_blocks() {
+        let (mm, stack, dev) =
+            setup(serde_json::json!({"write_back": true, "capacity_bytes": 1 << 20}));
+        let mut ctx = Ctx::new();
+        exec(
+            &mm,
+            &stack,
+            Payload::Block(BlockOp::Write {
+                lba: 0,
+                buf: BufHandle::from_vec(vec![4u8; 2 * 4096]),
+            }),
+            &mut ctx,
+        );
+        assert_eq!(dev.writes.load(Ordering::Relaxed), 0);
+        // The multi-block read misses, so the dirty blocks it covers are
+        // written back before the device answers.
+        dev.blocks.lock().clear();
+        let r = exec(
+            &mm,
+            &stack,
+            Payload::Block(BlockOp::Read { lba: 0, len: 4096 }),
+            &mut ctx,
+        );
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == [4u8; 4096]));
+        let r = exec(
+            &mm,
+            &stack,
+            Payload::Block(BlockOp::Read {
+                lba: 8,
+                len: 2 * 4096,
+            }),
+            &mut ctx,
+        );
+        assert_eq!(
+            dev.writes.load(Ordering::Relaxed),
+            1,
+            "block 1 written back"
+        );
+        assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice()[..4096] == [4u8; 4096]));
     }
 
     #[test]
@@ -687,7 +710,7 @@ mod tests {
                         Payload::Block(BlockOp::Read { lba: 16, len: 4096 }),
                         &mut ctx,
                     );
-                    assert!(matches!(r, RespPayload::Data(d) if d == vec![3u8; 4096]));
+                    assert!(matches!(r, RespPayload::DataBuf(h) if h.as_slice() == [3u8; 4096]));
                 });
             }
         });

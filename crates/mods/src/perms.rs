@@ -111,9 +111,7 @@ impl LabMod for PermsMod {
             {
                 return denied(path);
             }
-            // PutBuf is access-checked exactly like Put: the zero-copy
-            // payload representation must not bypass the ACL.
-            Payload::Kvs(KvsOp::Put { key, .. } | KvsOp::PutBuf { key, .. }) => {
+            Payload::Kvs(KvsOp::Put { key, .. }) => {
                 if !self.check(&req, key, 0o2) {
                     return denied(key);
                 }
@@ -286,7 +284,7 @@ mod tests {
         let bob = Credentials::new(2, 200, 200);
         let put = Payload::Kvs(KvsOp::Put {
             key: "k1".into(),
-            value: vec![1],
+            buf: labstor_ipc::BufHandle::from_vec(vec![1]),
         });
         assert!(exec(&mm, &stack, put, alice).is_ok());
         let get = Payload::Kvs(KvsOp::Get { key: "k1".into() });

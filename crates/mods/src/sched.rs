@@ -128,15 +128,8 @@ impl LabMod for BlkSwitchSchedMod {
         self.perf.observe(LAB_SCHED_NS);
         let is_latency = matches!(
             &req.payload,
-            Payload::Block(BlockOp::Read { len, .. } | BlockOp::ReadBuf { len, .. })
-                if *len <= LATENCY_SIZE_BYTES
-        ) || matches!(
-            &req.payload,
-            Payload::Block(BlockOp::Write { data, .. }) if data.len() <= LATENCY_SIZE_BYTES
-        ) || matches!(
-            &req.payload,
-            Payload::Block(BlockOp::WriteBuf { buf, .. }) if buf.len() <= LATENCY_SIZE_BYTES
-        );
+            Payload::Block(BlockOp::Read { .. } | BlockOp::Write { .. })
+        ) && req.payload_bytes() <= LATENCY_SIZE_BYTES;
         let n = self.dev.num_queues();
         let qid = if is_latency {
             // Steer latency requests to the least-loaded channel group.
@@ -213,6 +206,7 @@ pub fn install_blk_switch(mm: &ModuleManager, devices: &Arc<DeviceRegistry>) {
 mod tests {
     use super::*;
     use labstor_core::stack::{ExecMode, LabStack, Vertex};
+    use labstor_ipc::BufHandle;
     use labstor_ipc::Credentials;
     use labstor_sim::{BlockDevice, DeviceKind, IoRequest};
 
@@ -284,7 +278,7 @@ mod tests {
             1,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![0u8; 512],
+                buf: BufHandle::from_vec(vec![0u8; 512]),
             }),
             Credentials::ROOT,
         );
@@ -314,7 +308,7 @@ mod tests {
             1,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![0u8; 4096],
+                buf: BufHandle::from_vec(vec![0u8; 4096]),
             }),
             Credentials::ROOT,
         );
@@ -340,7 +334,7 @@ mod tests {
             1,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![0u8; 64 * 1024],
+                buf: BufHandle::from_vec(vec![0u8; 64 * 1024]),
             }),
             Credentials::ROOT,
         );

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use labstor_core::stack::{ExecMode, LabStack, Vertex};
 use labstor_core::{FsOp, KvsOp, ModuleManager, Payload, Request, RespPayload, StackEnv};
-use labstor_ipc::Credentials;
+use labstor_ipc::{BufHandle, Credentials};
 use labstor_mods::journal::crc32;
 use labstor_mods::labfs::LabFs;
 use labstor_mods::labkvs::LabKvs;
@@ -396,13 +396,11 @@ impl Boot {
         for name in candidates {
             if self.kvs {
                 match self.exec(ctx, Payload::Kvs(KvsOp::Get { key: name.clone() })) {
-                    RespPayload::Data(d) => entries.push((name.clone(), d.len(), crc32(&d))),
-                    RespPayload::DataBuf(h) => {
-                        let d = h.to_vec();
-                        entries.push((name.clone(), d.len(), crc32(&d)));
-                    }
                     RespPayload::Err(_) => {} // absent
-                    other => return Err(format!("get {name}: {other:?}")),
+                    resp => match resp.data_bytes() {
+                        Some(d) => entries.push((name.clone(), d.len(), crc32(d))),
+                        None => return Err(format!("get {name}: {resp:?}")),
+                    },
                 }
             } else {
                 let st = match self.exec(ctx, Payload::Fs(FsOp::Stat { path: name.clone() })) {
@@ -413,19 +411,18 @@ impl Boot {
                 if st.is_dir {
                     continue;
                 }
-                let data = match self.exec(
+                let resp = self.exec(
                     ctx,
                     Payload::Fs(FsOp::Read {
                         ino: st.ino,
                         offset: 0,
                         len: st.size as usize,
                     }),
-                ) {
-                    RespPayload::Data(d) => d,
-                    RespPayload::DataBuf(h) => h.to_vec(),
-                    other => return Err(format!("read {name}: {other:?}")),
+                );
+                let Some(data) = resp.data_bytes() else {
+                    return Err(format!("read {name}: {resp:?}"));
                 };
-                entries.push((name.clone(), data.len(), crc32(&data)));
+                entries.push((name.clone(), data.len(), crc32(data)));
             }
         }
         Ok(fold_digest(entries))
@@ -560,10 +557,10 @@ impl Driver<'_> {
             .unwrap_or(0) as u64;
         match self.boot.exec(
             &mut self.ctx,
-            Payload::Fs(FsOp::Write {
+            Payload::Fs(FsOp::WriteBuf {
                 ino,
                 offset,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
         ) {
             RespPayload::Len(_) => {
@@ -655,22 +652,12 @@ impl Driver<'_> {
                 len: want.len().max(1),
             }),
         ) {
-            RespPayload::Data(d) => {
-                if d != want {
-                    self.violation = Some(format!("live read mismatch on {path}"));
-                } else {
-                    self.ack();
-                }
-            }
-            RespPayload::DataBuf(h) => {
-                if h.to_vec() != want {
-                    self.violation = Some(format!("live read mismatch on {path}"));
-                } else {
-                    self.ack();
-                }
-            }
             RespPayload::Err(e) => self.error("read", e),
-            other => self.violation = Some(format!("read {path}: {other:?}")),
+            resp => match resp.data_bytes() {
+                Some(d) if d == want => self.ack(),
+                Some(_) => self.violation = Some(format!("live read mismatch on {path}")),
+                None => self.violation = Some(format!("read {path}: {resp:?}")),
+            },
         }
     }
 
@@ -683,7 +670,7 @@ impl Driver<'_> {
             &mut self.ctx,
             Payload::Kvs(KvsOp::Put {
                 key: key.to_string(),
-                value: value.clone(),
+                buf: BufHandle::from_vec(value.clone()),
             }),
         ) {
             RespPayload::Len(_) => {

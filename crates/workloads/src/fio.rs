@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use labstor_core::client::Client;
 use labstor_core::{BlockOp, LabStack, Payload};
+use labstor_ipc::BufHandle;
 use labstor_kernel::engines::{IoEngineKind, RawEngine};
 use labstor_kernel::sched::IoClass;
 use labstor_sim::{Ctx, IoRequest, PmemDevice};
@@ -314,7 +315,10 @@ impl StackTarget {
 impl BlockTarget for StackTarget {
     fn submit(&mut self, lba: u64, len: usize, data: Option<Vec<u8>>) -> Result<(), String> {
         let payload = match data {
-            Some(d) => Payload::Block(BlockOp::Write { lba, data: d }),
+            Some(d) => Payload::Block(BlockOp::Write {
+                lba,
+                buf: BufHandle::from_vec(d),
+            }),
             None => Payload::Block(BlockOp::Read { lba, len }),
         };
         self.client

@@ -122,8 +122,8 @@ fn main() {
         )
         .expect("read after recovery");
     match resp {
-        RespPayload::Data(d) => {
-            assert_eq!(d, payload);
+        RespPayload::DataBuf(d) => {
+            assert_eq!(d.as_slice(), payload);
             println!("data blocks intact through the replayed mappings ✓");
         }
         other => panic!("read failed: {other:?}"),

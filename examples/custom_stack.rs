@@ -44,14 +44,9 @@ fn main() {
         .copied()
         .collect();
     let before = nvme.stats().snapshot().bytes_written;
+    let buf = client.copy_in(&compressible);
     let (resp, latency) = client
-        .execute(
-            &zstack,
-            Payload::Block(BlockOp::Write {
-                lba: 0,
-                data: compressible.clone(),
-            }),
-        )
+        .execute(&zstack, Payload::Block(BlockOp::Write { lba: 0, buf }))
         .expect("compressed write");
     assert!(resp.is_ok());
     let stored = nvme.stats().snapshot().bytes_written - before;
@@ -72,7 +67,7 @@ fn main() {
         )
         .expect("read back");
     match resp {
-        labstor::core::RespPayload::Data(d) => assert_eq!(d, compressible),
+        labstor::core::RespPayload::DataBuf(d) => assert_eq!(d.as_slice(), compressible),
         other => panic!("unexpected {other:?}"),
     }
     println!("active storage: transparent decompression verified");
@@ -137,14 +132,9 @@ fn main() {
 
     let zstack = rt.ns.get("blk::/z").expect("still mounted");
     let flushes_before = nvme.stats().snapshot().ops();
+    let buf = client.copy_in(&[7u8; 4096]);
     let (resp, _) = client
-        .execute(
-            &zstack,
-            Payload::Block(BlockOp::Write {
-                lba: 4096,
-                data: vec![7u8; 4096],
-            }),
-        )
+        .execute(&zstack, Payload::Block(BlockOp::Write { lba: 4096, buf }))
         .expect("durable write");
     assert!(resp.is_ok());
     println!(

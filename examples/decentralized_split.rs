@@ -104,7 +104,7 @@ fn main() {
         )
         .expect("read via meta view");
     match resp {
-        RespPayload::Data(d) => assert_eq!(d, payload),
+        RespPayload::DataBuf(d) => assert_eq!(d.as_slice(), payload),
         other => panic!("read failed: {other:?}"),
     }
 

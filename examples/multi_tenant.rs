@@ -72,13 +72,17 @@ fn main() {
             .expect("read");
         assert!(lat > 0, "virtual latency is modeled");
     }
+    // One 256 KiB payload buffer, filled in place and resubmitted by
+    // handle: a throttled retry costs no copy.
+    let mut bulk = batch.alloc_buf(256 << 10);
+    bulk.write_with(|b| b.fill(0xbe));
     let mut throttled = 0u32;
     let mut admitted = 0u32;
     for i in 0..8u64 {
         loop {
             let payload = Payload::Block(BlockOp::Write {
                 lba: i * 512,
-                data: vec![0xbe; 256 << 10],
+                buf: bulk.clone(),
             });
             match batch.execute(&stack, payload) {
                 Ok(_) => {

@@ -348,7 +348,7 @@ fn fs_and_kvs_payload_costs_show_in_virtual_time() {
             &kstack,
             Payload::Kvs(KvsOp::Put {
                 key: "k".into(),
-                value: vec![1u8; 100],
+                buf: labstor::ipc::BufHandle::from_vec(vec![1u8; 100]),
             }),
         )
         .unwrap();

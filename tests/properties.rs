@@ -7,7 +7,7 @@ use labstor::core::labmod::{LabMod, StackEnv};
 use labstor::core::stack::{ExecMode, LabStack, Vertex};
 use labstor::core::{FsOp, Payload, RespPayload};
 use labstor::core::{ModuleManager, Request};
-use labstor::ipc::Credentials;
+use labstor::ipc::{BufHandle, Credentials};
 use labstor::kernel::page_cache::LruMap;
 use labstor::mods::compress_algo::{compress, decompress};
 use labstor::mods::labfs::{BlockAllocator, LabFs, LogRecord};
@@ -332,7 +332,7 @@ proptest! {
                     let Some(&(ino, _)) = model.get(&path) else { continue };
                     let data = vec![fill; len as usize];
                     let resp = exec(
-                        Payload::Fs(FsOp::Write { ino, offset: offset as u64, data: data.clone() }),
+                        Payload::Fs(FsOp::WriteBuf { ino, offset: offset as u64, buf: BufHandle::from_vec(data) }),
                         &mut ctx,
                     );
                     prop_assert!(matches!(resp, RespPayload::Len(n) if n == len as usize));
@@ -350,13 +350,13 @@ proptest! {
                         Payload::Fs(FsOp::Read { ino: *ino, offset: offset as u64, len: len as usize }),
                         &mut ctx,
                     );
-                    let RespPayload::Data(got) = resp else {
+                    let Some(got) = resp.data_bytes() else {
                         prop_assert!(false, "read failed");
                         return Ok(());
                     };
                     let start = (offset as usize).min(content.len());
                     let end = (offset as usize + len as usize).min(content.len());
-                    prop_assert_eq!(&got, &content[start..end]);
+                    prop_assert_eq!(got, &content[start..end]);
                 }
                 FsAction::Unlink(f) => {
                     let path = format!("/f{f}");
@@ -397,11 +397,11 @@ proptest! {
                                 Payload::Fs(FsOp::Read { ino: *ino, offset: 0, len: content.len() }),
                                 &mut ctx,
                             );
-                            let RespPayload::Data(got) = resp else {
+                            let Some(got) = resp.data_bytes() else {
                                 prop_assert!(false, "read after replay failed");
                                 return Ok(());
                             };
-                            prop_assert_eq!(&got, content);
+                            prop_assert_eq!(got, &content[..]);
                         }
                     }
                 }

@@ -192,7 +192,7 @@ fn labkvs_get_where_walks_levels_in_stack() {
                 &stack,
                 labstor::core::Payload::Kvs(labstor::core::KvsOp::Put {
                     key: lkey,
-                    value: rec.clone(),
+                    buf: labstor::ipc::BufHandle::from_vec(rec.clone()),
                 }),
             )
             .unwrap();

@@ -82,7 +82,7 @@ fn small_results_ride_inline_large_results_pay_one_copy_out() {
     assert_eq!(small, page[..64]);
     assert_eq!(delta, 0, "≤64 B read must ship inline, uncopied");
 
-    // Large read: delegates to the ReadBuf zero-copy path; the only
+    // Large read: delegates to the handle read path; the only
     // counted copy is the client-side materialization into the owned
     // Vec the read(2) signature requires.
     fs.seek(fd, 0).unwrap();

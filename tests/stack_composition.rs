@@ -3,7 +3,7 @@
 
 use labstor::core::stack::Vertex;
 use labstor::core::{BlockOp, Payload, RespPayload, Runtime, RuntimeConfig, StackSpec};
-use labstor::ipc::Credentials;
+use labstor::ipc::{BufHandle, Credentials};
 use labstor::mods::DeviceRegistry;
 use labstor::sim::{BlockDevice, DeviceKind};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn compression_stack_shrinks_device_traffic() {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: data.clone(),
+                buf: BufHandle::from_vec(data.clone()),
             }),
         )
         .unwrap();
@@ -64,7 +64,7 @@ fn compression_stack_shrinks_device_traffic() {
             }),
         )
         .unwrap();
-    assert!(matches!(resp, RespPayload::Data(d2) if d2 == data));
+    assert!(matches!(resp, RespPayload::DataBuf(d2) if d2.as_slice() == data));
     rt.shutdown();
 }
 
@@ -86,7 +86,7 @@ fn dax_stack_serves_byte_addressable_pmem() {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 3,
-                data: b"bytes".to_vec(),
+                buf: BufHandle::from_vec(b"bytes".to_vec()),
             }),
         )
         .unwrap();
@@ -94,7 +94,7 @@ fn dax_stack_serves_byte_addressable_pmem() {
     let (resp, _) = client
         .execute(&stack, Payload::Block(BlockOp::Read { lba: 3, len: 5 }))
         .unwrap();
-    assert!(matches!(resp, RespPayload::Data(d) if d == b"bytes"));
+    assert!(matches!(resp, RespPayload::DataBuf(d) if d.as_slice() == b"bytes"));
     rt.shutdown();
 }
 
@@ -139,7 +139,7 @@ fn modify_stack_inserts_and_removes_vertices_live() {
             &stack,
             Payload::Block(BlockOp::Write {
                 lba: 0,
-                data: vec![1u8; 512],
+                buf: BufHandle::from_vec(vec![1u8; 512]),
             }),
         )
         .unwrap();
@@ -252,7 +252,7 @@ fn cache_policy_hot_swap_through_upgrade_protocol() {
                 &stack,
                 Payload::Block(BlockOp::Write {
                     lba: lba * 8,
-                    data: vec![lba as u8; 4096],
+                    buf: BufHandle::from_vec(vec![lba as u8; 4096]),
                 }),
             )
             .unwrap();
@@ -277,7 +277,7 @@ fn cache_policy_hot_swap_through_upgrade_protocol() {
                 }),
             )
             .unwrap();
-        assert!(matches!(resp, RespPayload::Data(dta) if dta == vec![lba as u8; 4096]));
+        assert!(matches!(resp, RespPayload::DataBuf(dta) if dta.as_slice() == [lba as u8; 4096]));
     }
     // Wait for the swap to land (pending_upgrades drops when the admin
     // *starts*; poll the registry for the installed instance instead).
@@ -390,4 +390,46 @@ fn shared_memory_grants_isolate_processes() {
     let mut out = vec![0u8; 12];
     b.read(0, &mut out).unwrap();
     assert_eq!(&out, b"shared state");
+}
+
+/// Regression: a cache keyed a coalesced multi-block write by its first
+/// LBA only, so after write 64 KiB → read block 1 → rewrite 64 KiB, a
+/// read of block 1 hit the entry cached by the first read and returned
+/// the first write's bytes. Caches now hold one entry per 4 KiB block.
+#[test]
+fn multi_block_rewrite_never_serves_stale_cached_blocks() {
+    let (rt, _d) = platform();
+    let mut fs = labstor::mods::GenericFs::new(rt.connect(Credentials::new(1, 0, 0), 1));
+    const BLOCK: usize = 4096;
+    for cache in ["lru_cache", "arc_cache"] {
+        for exec in ["sync", "async"] {
+            let tag = format!("{}_{exec}", &cache[..3]);
+            rt.mount_stack_json(&format!(
+                r#"{{ "mount": "fs::/{tag}", "exec": "{exec}", "authorized_uids": [0],
+                "labmods": [
+                    {{ "uuid": "mb_fs_{tag}", "type": "labfs", "params": {{"device": "nvme0"}}, "outputs": ["mb_c_{tag}"] }},
+                    {{ "uuid": "mb_c_{tag}", "type": "{cache}", "params": {{"capacity_bytes": 4194304}}, "outputs": ["mb_drv_{tag}"] }},
+                    {{ "uuid": "mb_drv_{tag}", "type": "kernel_driver", "params": {{"device": "nvme0"}} }}
+                ] }}"#
+            ))
+            .unwrap();
+            let fd = fs.open(&format!("fs::/{tag}/f"), true, false).unwrap();
+            for generation in 1..=2u8 {
+                let data: Vec<u8> = (0..16 * BLOCK)
+                    .map(|i| generation.wrapping_mul(16).wrapping_add((i / BLOCK) as u8))
+                    .collect();
+                fs.seek(fd, 0).unwrap();
+                assert_eq!(fs.write(fd, &data).unwrap(), data.len());
+                fs.seek(fd, BLOCK as u64).unwrap();
+                let block1 = fs.read(fd, BLOCK).unwrap();
+                assert_eq!(
+                    block1,
+                    data[BLOCK..2 * BLOCK],
+                    "{cache} on a {exec} stack served block 1 of an older write (generation {generation})"
+                );
+            }
+            fs.close(fd).unwrap();
+        }
+    }
+    rt.shutdown();
 }

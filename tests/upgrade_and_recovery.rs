@@ -202,7 +202,9 @@ fn crash_then_restart_recovers_labfs_state() {
         )
         .unwrap();
     match resp {
-        RespPayload::Data(d) => assert_eq!(d, data, "log replay restored the mapping"),
+        RespPayload::DataBuf(d) => {
+            assert_eq!(d.as_slice(), data, "log replay restored the mapping")
+        }
         other => panic!("read failed after recovery: {other:?}"),
     }
     rt.shutdown();
@@ -278,7 +280,7 @@ fn device_faults_surface_as_errors_not_hangs() {
                 &stack,
                 Payload::Block(labstor::core::BlockOp::Write {
                     lba: i * 8,
-                    data: vec![0u8; 512],
+                    buf: client.alloc_buf(512),
                 }),
             )
             .unwrap();
